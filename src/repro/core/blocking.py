@@ -139,9 +139,10 @@ MICRO_BLOCKING = BlockingParams(mc=256, nc=2048, kc=256, mr=8, nr=8)
 
 #: Blocking for the fused macro-kernel (:mod:`repro.core.macrokernel`). The
 #: macro-kernel computes a whole ``mc × nc`` block per call, so ``mc``/``nc``
-#: are large to amortize the per-block bit-plane expansion while ``kc`` is
-#: short: each ``kc`` chunk of 64-allele words expands 64× when unpacked to
-#: bit planes, and kc=64 keeps one expanded operand panel inside the LLC.
+#: are large: each block pays a fixed interpreter cost and one ``sgemm`` per
+#: k-chunk, and larger blocks hand BLAS larger matrices. ``kc`` is short:
+#: each ``kc`` chunk of 64-allele words expands 64× when unpacked to bit
+#: planes, and kc=64 keeps one expanded operand panel inside the LLC.
 #: ``mr``/``nr`` only affect the popcount fall-back path and the operation
 #: counts; the BLAS contraction has no register tile of its own. Values
 #: selected empirically (see benchmarks/BENCH_gemm.json); ``repro tune`` can

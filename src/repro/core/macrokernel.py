@@ -10,15 +10,16 @@ allocations.
 Two macro-kernels are provided:
 
 ``macrokernel_fused``
-    The production path. Each k-chunk of packed words is expanded to ±0/1
-    *bit planes* in float32 and the block is contracted with one BLAS
-    ``sgemm`` (``np.matmul``). This is exact, not approximate: every partial
-    product is 0 or 1 and every partial sum is an integer bounded by
-    ``64 · k_chunk ≤ 2²⁴``, below the float32 integer-exactness limit, so the
-    result is bit-identical to the popcount formulation regardless of BLAS
-    summation order or threading. It restates the paper's thesis — LD *is*
-    dense linear algebra — by handing the inner loop to the best dense
-    kernel on the machine.
+    The production path. Each k-chunk of packed words is expanded to 0/1
+    *bit planes* in float32 — one gather per operand from a constant
+    256 × 8 byte-to-planes table — and each ``m_c`` block is contracted
+    with one BLAS ``sgemm`` (``np.matmul``) per k-chunk. This is exact, not
+    approximate: every partial product is 0 or 1 and every partial sum is
+    an integer bounded by ``64 · k_chunk ≤ 2²⁴``, below the float32
+    integer-exactness limit, so the result is bit-identical to the popcount
+    formulation regardless of BLAS summation order or threading. It
+    restates the paper's thesis — LD *is* dense linear algebra — by handing
+    the inner loop to the best dense kernel on the machine.
 
 ``macrokernel_popcount``
     The same block walk in the AND/POPCNT/SUM instruction mix of the paper's
@@ -51,10 +52,13 @@ __all__ = [
     "mirror_lower_inplace",
 ]
 
-#: Bit positions within one byte, LSB first (numpy uint64 is little-endian in
-#: memory, so byte b, bit s of a word is allele index 8·b + s — both operands
-#: use the same order, and the contraction is order-invariant anyway).
-_SHIFTS = np.arange(8, dtype=np.uint8)
+#: Byte → bit-plane table: row ``v`` holds the eight 0/1 bits of byte value
+#: ``v``, LSB first, as float32. numpy uint64 is little-endian in memory, so
+#: byte b, bit s of a word is allele index 8·b + s — both operands use the
+#: same order, and the contraction is order-invariant anyway.
+_BYTE_PLANES = (
+    (np.arange(256)[:, None] >> np.arange(8)) & 1
+).astype(np.float32)
 
 #: Exactness cap: one k-chunk may contribute at most 64 · kc counts to a
 #: float32 partial sum, which must stay ≤ 2²⁴ (the float32 integer limit).
@@ -149,19 +153,23 @@ def _unpack_bits_f32(
 ) -> None:
     """Expand ``(rows, kw)`` uint64 words into ``(rows, kw·64)`` 0/1 float32.
 
-    All temporaries are workspace-carved: the strided word slice is staged
-    contiguous, viewed as bytes, shifted against the 8 bit positions with an
-    ``out=`` broadcast, masked in place, and cast-assigned into the float32
-    bit-plane panel.
+    One gather from :data:`_BYTE_PLANES`: the (possibly strided) word slice
+    is staged contiguous, its bytes are widened to ``intp`` indices, and
+    ``np.take`` writes each byte's eight planes straight into *out_f32*.
+    Both temporaries are workspace-carved, and ``mode="clip"`` lets
+    ``np.take`` write into *out_f32* without buffering it (the default
+    ``mode="raise"`` does); byte indices never leave 0–255, so nothing is
+    ever clipped.
     """
     rows, kw = words.shape
     staged = workspace.carve(tag + ".words", np.uint64, (rows, kw))
     staged[...] = words
-    as_bytes = staged.view(np.uint8)  # (rows, kw·8)
-    bits = workspace.carve(tag + ".bits", np.uint8, (rows, kw * 8, 8))
-    np.right_shift(as_bytes[:, :, None], _SHIFTS[None, None, :], out=bits)
-    np.bitwise_and(bits, 1, out=bits)
-    out_f32[...] = bits.reshape(rows, kw * 64)
+    idx = workspace.carve(tag + ".idx", np.intp, (rows, kw * 8))
+    np.copyto(idx, staged.view(np.uint8))
+    np.take(
+        _BYTE_PLANES, idx, axis=0,
+        out=out_f32.reshape(rows, kw * 8, 8), mode="clip",
+    )
 
 
 def _fused_k_step(kc: int, rows_max: int) -> int:

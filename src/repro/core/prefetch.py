@@ -251,9 +251,10 @@ class PanelPrefetcher:
         self._touched: set[int] = set()
         self._wanted: dict[int, int] = {}
         #: Blocked acquirers by panel-major order index -> needed windows.
-        #: Eviction never touches the earliest waiter's windows, so the
-        #: frontier tile always completes — concurrent consumers cannot
-        #: livelock by evicting each other's loads under a tight budget.
+        #: Eviction never touches the earliest waiter's windows, and no
+        #: load takes the room its missing windows need, so the frontier
+        #: tile always completes — concurrent consumers cannot livelock by
+        #: evicting each other's loads under a tight budget.
         self._waiters: dict[int, tuple[int, ...]] = {}
         self._clock = 0
         self._lru: dict[int, int] = {}
@@ -369,6 +370,23 @@ class PanelPrefetcher:
     def _window_nbytes(self, w: int) -> int:
         return self.windows[w].rows * self._row_nbytes
 
+    def _frontier_shortfall(self, w: int) -> int:
+        """Bytes the earliest blocked acquirer still needs besides *w*.
+
+        Its windows that are neither resident nor being loaded (lock
+        held). A load must leave room for them: protecting the frontier's
+        resident windows is not enough once other consumers' in-flight
+        loads hold the rest of the budget, because those consumers then
+        evict each other's windows forever while the frontier waits.
+        """
+        if not self._waiters:
+            return 0
+        return sum(
+            self._window_nbytes(v)
+            for v in self._waiters[min(self._waiters)]
+            if v != w and v not in self._buffers and v not in self._loading
+        )
+
     def _evict_for(self, nbytes: int, *, loader: bool) -> bool:
         """Free refs-zero windows until *nbytes* fit (lock held).
 
@@ -440,7 +458,9 @@ class PanelPrefetcher:
                         return
                     self._cond.wait(0.1)
                     continue
-                if self._evict_for(nbytes, loader=prefetch):
+                if self._evict_for(
+                    nbytes + self._frontier_shortfall(w), loader=prefetch
+                ):
                     self._loading.add(w)
                     # Reserve the window's bytes while the read is in
                     # flight: a loader prefetch and an inline consumer

@@ -46,18 +46,41 @@ SHAPES = [
 TINY = BlockingParams(mc=8, nc=8, kc=4, mr=4, nr=4)
 
 
+#: Operands the bit-plane expansion must serve beyond random C-contiguous
+#: words: every bit set (bit 63 included), a Fortran-ordered A, and a
+#: column-sliced B like the kernels' own k-chunk slices.
+LAYOUTS = ["all-ones-words", "fortran-a", "sliced-b"]
+
+
 def make_words(m: int, k: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 2**63, size=(m, k), dtype=np.int64).astype(np.uint64)
+    return rng.integers(0, 2**64, size=(m, k), dtype=np.uint64)
+
+
+def make_operands(case) -> tuple[np.ndarray, np.ndarray]:
+    """Random ``(m, n, k)`` words for a SHAPES entry, else a LAYOUTS case."""
+    if case not in LAYOUTS:
+        m, n, k = case
+        a = make_words(m, k, seed=m * 101 + k)
+        return a, make_words(n, k, seed=n * 103 + k)
+    m, n, k = 40, 23, 11
+    if case == "all-ones-words":
+        ones = np.iinfo(np.uint64).max
+        return (
+            np.full((m, k), ones, dtype=np.uint64),
+            np.full((n, k), ones, dtype=np.uint64),
+        )
+    if case == "fortran-a":
+        a = np.asfortranarray(make_words(m, k, seed=31))
+        return a, make_words(n, k, seed=32)
+    return make_words(m, k, seed=33), make_words(n, k + 5, seed=34)[:, 3 : 3 + k]
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("case", SHAPES + LAYOUTS, ids=str)
     @pytest.mark.parametrize("kernel", sorted(GEMM_KERNELS))
-    def test_gemm_matches_scalar_oracle(self, shape, kernel):
-        m, n, k = shape
-        a = make_words(m, k, seed=m * 101 + k)
-        b = make_words(n, k, seed=n * 103 + k)
+    def test_gemm_matches_scalar_oracle(self, case, kernel):
+        a, b = make_operands(case)
         expected = popcount_gemm(a, b, kernel="scalar", params=TINY)
         result = popcount_gemm(a, b, kernel=kernel, params=TINY)
         np.testing.assert_array_equal(result, expected)
@@ -126,17 +149,24 @@ class TestWorkspace:
         assert ws.n_allocations == allocs
         assert ws.n_reuses > 0
 
-    def test_hot_loop_is_allocation_free_after_warmup(self):
+    @pytest.mark.parametrize(
+        "shape",
+        # A small block, a Dataset A tile (2,504 samples = 40 words) and a
+        # Dataset B tile (157 words: three k-chunks at FUSED_BLOCKING).
+        [(256, 256, 8), (512, 512, 40), (512, 512, 157)],
+        ids=str,
+    )
+    def test_hot_loop_is_allocation_free_after_warmup(self, shape):
         """The zero-allocation acceptance test (tracemalloc-measured).
 
         After one warm-up call at a steady shape, a further call may
         allocate the exact (m, n) int64 output and interpreter noise —
         but no workspace-scale scratch. The threshold is the output size
-        plus a small slack; a single leaked bit-plane panel or padded C
-        copy would exceed it by an order of magnitude.
+        plus a small slack; a single leaked bit-plane panel, index
+        conversion or padded C copy would exceed it at production shapes.
         """
         ws = GemmWorkspace()
-        m, n, k = 256, 256, 8
+        m, n, k = shape
         a = make_words(m, k, seed=5)
         b = make_words(n, k, seed=6)
         popcount_gemm(a, b, kernel="fused", workspace=ws)  # warm the pools

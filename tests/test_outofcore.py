@@ -10,6 +10,9 @@ attributes its disk time (``io.prefetch`` / ``io.wait`` spans,
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,66 @@ class TestPrefetcherDirect:
                 assert pf.peak_resident_bytes <= budget
                 assert pf.bytes_read >= store.nbytes  # every window read
                 assert pf.peak_resident_bytes < store.nbytes
+
+    def test_concurrent_consumers_finish_at_the_budget_floor(self, store_path):
+        """Four consumers, three windows of budget, failing and slow reads.
+
+        The earliest blocked tile must always complete. If consumers
+        instead evict each other's loads forever, the watchdog closes the
+        prefetcher, so the test fails rather than hangs.
+        """
+        plan = FaultPlan(
+            seed=11,
+            specs=(
+                FaultSpec(site="prefetch", action="raise", rate=0.3,
+                          attempts_below=2),
+                FaultSpec(site="prefetch", action="delay", rate=0.3,
+                          delay_seconds=0.005),
+            ),
+        )
+        with PanelStore.open(store_path) as store:
+            tiles = enumerate_tiles(store.n_snps, BLOCK)
+            budget = min_memory_budget(BLOCK, store.row_nbytes)
+            for _ in range(5):
+                with PanelPrefetcher(
+                    store, tiles, block_snps=BLOCK, memory_budget=budget,
+                    faults=plan,
+                ) as pf:
+                    # Runs of consecutive tiles, as the threads executor
+                    # dispatches them.
+                    batches = iter(
+                        [pf.order[i : i + 5] for i in range(0, len(pf.order), 5)]
+                    )
+                    lock = threading.Lock()
+                    errors: list[BaseException] = []
+
+                    def consume() -> None:
+                        try:
+                            while True:
+                                with lock:
+                                    batch = next(batches, None)
+                                if batch is None:
+                                    return
+                                for tile in batch:
+                                    pf.acquire(tile)
+                                    time.sleep(0.0005)  # compute, pinned
+                                    pf.release(tile)
+                        except RuntimeError as exc:
+                            errors.append(exc)
+
+                    threads = [threading.Thread(target=consume) for _ in range(4)]
+                    for thread in threads:
+                        thread.start()
+                    deadline = time.monotonic() + 30.0
+                    for thread in threads:
+                        thread.join(max(0.0, deadline - time.monotonic()))
+                    stuck = any(thread.is_alive() for thread in threads)
+                    if stuck:
+                        pf.close()  # every blocked acquire now raises
+                        for thread in threads:
+                            thread.join(5.0)
+                    assert not stuck, "consumers livelocked at the budget floor"
+                    assert not errors, errors
 
     def test_view_rejects_nonresident_rows(self, store_path):
         budget = _quarter_budget(store_path)
