@@ -1,9 +1,8 @@
 """Scaling benchmark for the sharded tiled execution engine.
 
 Measures wall-clock and pair throughput of ``repro.core.engine`` across
-its four executors (serial / threads / processes / persistent) and
-several worker counts, on two or more simulated panel shapes, and scores
-every run
+its three executors (serial / threads / persistent) and several worker
+counts, on two or more simulated panel shapes, and scores every run
 against the analytical Haswell model (``repro.observe.compare_to_model``
 — the paper's %-of-peak framing, Figs. 3–4). Results are serialized to
 ``BENCH_engine.json`` so the bench trajectory accumulates run over run.
@@ -20,12 +19,11 @@ under the pytest benchmark harness, with the other paper benches::
 
 On a single-vCPU container the parallel engines cannot beat serial (the
 printout is the point: the harness reports the overhead floor); on real
-multi-core hardware the processes engine amortizes its pool + shared-
-memory setup once per run and scales with cores, which is the regime the
-ROADMAP's production-scale target cares about. The ``persistent`` row is
-timed *warm* — one untimed run builds the pool first — because the
-backend's contract is that steady-state runs pay zero spawn or attach
-cost; its cold spawn cost is exactly one processes-style pool build.
+multi-core hardware the persistent pool scales with cores, which is the
+regime the ROADMAP's production-scale target cares about. The
+``persistent`` row is timed *warm* — one untimed run builds the pool
+first — because the backend's contract is that steady-state runs pay
+zero spawn or attach cost; its cold cost is one pool build per panel.
 """
 
 from __future__ import annotations
@@ -230,13 +228,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def test_bench_engine_scaling(benchmark):
-    """pytest-benchmark entry: time the processes engine at quick scale."""
+    """pytest-benchmark entry: time the persistent engine at quick scale."""
     rng = np.random.default_rng(2016)
     panel = simulate_sfs_panel(128, 220, rng=rng)
 
     def run():
         return run_engine(
-            panel, _null_sink, engine="processes", n_workers=2, block_snps=64
+            panel, _null_sink, engine="persistent", n_workers=2, block_snps=64
         )
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -40,7 +40,12 @@ from repro.analysis.ldprune import ld_prune
 from repro.analysis.sweeps import sweep_scan
 from repro.core.banding import BandSpec, dense_pair_cells
 from repro.core.blocking import DEFAULT_BLOCKING
-from repro.core.engine import ENGINES, enumerate_tiles, run_engine
+from repro.core.engine import (
+    ENGINE_ALIASES,
+    ENGINES,
+    enumerate_tiles,
+    run_engine,
+)
 from repro.core.gemm import DEFAULT_KERNEL, GEMM_KERNELS
 from repro.faults import FaultPlan
 from repro.core.ldmatrix import as_bitmatrix, ld_matrix
@@ -582,7 +587,7 @@ def _cmd_ld(args: argparse.Namespace) -> int:
         if not args.engine:
             raise SystemExit(
                 "--panel streams a packed store through the tiled engine; "
-                "add --engine serial|threads|processes|persistent"
+                "add --engine serial|threads|persistent"
             )
         if args.maf > 0.0 or args.drop_monomorphic:
             raise SystemExit(
@@ -634,7 +639,7 @@ def _cmd_ld(args: argparse.Namespace) -> int:
     if args.window_kb is not None:
         raise SystemExit(
             "--window-kb resolves a genomic band through the tiled engine; "
-            "add --engine serial|threads|processes|persistent "
+            "add --engine serial|threads|persistent "
             "(or use --window for an in-memory SNP-index band)"
         )
     if (args.progress or args.metrics_out or args.trace_out
@@ -642,7 +647,7 @@ def _cmd_ld(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--progress/--metrics-out/--trace-out/--profile-out/--live "
             "instrument the tiled engine; add --engine "
-            "serial|threads|processes"
+            "serial|threads|persistent"
         )
     if (args.fault_plan or args.tile_timeout is not None
             or args.max_retries is not None or args.allow_quarantine
@@ -650,7 +655,7 @@ def _cmd_ld(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--fault-plan/--tile-timeout/--max-retries/--allow-quarantine/"
             "--batch-tiles configure the tiled engine; add --engine "
-            "serial|threads|processes"
+            "serial|threads|persistent"
         )
     if args.window:
         band = banded_ld(panel, window=args.window, stat=args.stat,
@@ -1090,14 +1095,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-monomorphic", action="store_true")
     p.add_argument("--out", required=True, help=".npy or .tsv output")
     p.add_argument("--engine", "--executor", dest="engine",
-                   choices=ENGINES, default=None,
+                   choices=(*ENGINES, *ENGINE_ALIASES), default=None,
                    help="sharded tiled execution with checkpoint journal "
                         "(out-of-core .npy path; default: in-memory). "
                         "'persistent' keeps a warm worker pool alive "
-                        "across runs (see `repro pool`)")
+                        "across runs (see `repro pool`); 'processes' is "
+                        "its older spelling")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker count for --engine threads/processes/"
-                        "persistent")
+                   help="worker count for --engine threads/persistent")
     p.add_argument("--block-snps", type=int, default=512,
                    help="tile side in SNPs for --engine")
     p.add_argument("--manifest", default=None,
@@ -1135,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(--engine only; also honoured via $REPRO_LIVE)")
     p.add_argument("--batch-tiles", type=int, default=None, metavar="N",
                    help="tiles dispatched per worker submission "
-                        "(--engine threads/processes; default: auto)")
+                        "(--engine threads/persistent; default: auto)")
     p.add_argument("--autotune", action="store_true",
                    help="use the persisted per-machine tuned blocking, "
                         "running the timed search first if absent "
@@ -1184,7 +1189,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="haplotype count of the simulated panel (no --input)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stat", choices=("r2", "D", "H"), default="r2")
-    p.add_argument("--engine", choices=ENGINES, default="threads",
+    p.add_argument("--engine", choices=(*ENGINES, *ENGINE_ALIASES),
+                   default="threads",
                    help="executor to profile (default: threads, which "
                         "exercises the dispatch/wait driver phases)")
     p.add_argument("--workers", type=int, default=None)

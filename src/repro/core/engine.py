@@ -1,30 +1,32 @@
 """Sharded tiled LD execution engine: restartable out-of-core ``GᵀG``.
 
-The blocked popcount-GEMM (Figure 1) and the streaming loop
-(:mod:`repro.core.streaming`) already express the r² matrix as independent
-lower-triangle tiles; this module turns that observation into an execution
-layer that scales past one process and survives interruption — the shard-
-and-restart discipline second-generation PLINK uses to reach biobank sizes:
+The blocked popcount-GEMM (Figure 1) already expresses the r² matrix as
+independent lower-triangle tiles; this module turns that observation into
+an execution layer that scales past one process and survives
+interruption — the shard-and-restart discipline second-generation PLINK
+uses to reach biobank sizes:
 
 - :func:`enumerate_tiles` decomposes the lower triangle into an explicit
-  list of :class:`TileTask` units (the shared enumeration the streaming
-  loop also uses);
-- :func:`run_engine` schedules those tiles over one of four executors —
+  list of :class:`TileTask` units;
+- :func:`run_engine` schedules those tiles over one of three executors —
   ``serial`` (in-process loop), ``threads`` (GIL-released numpy workers),
-  ``processes`` (a per-run ``ProcessPoolExecutor`` whose workers attach
-  the packed words via ``multiprocessing.shared_memory``, so the genomic
-  matrix is mapped once instead of pickled per task), or ``persistent``
-  (a warm worker pool from :mod:`repro.core.executors` that outlives the
-  run, so successive calls against the same panel pay zero spawn or
-  attach cost). The execution strategies themselves live behind the
-  :class:`repro.core.executors.ExecutorBackend` interface;
+  or ``persistent`` (a warm process pool from :mod:`repro.core.executors`
+  whose workers attach the packed words via
+  ``multiprocessing.shared_memory`` once, so the genomic matrix is mapped
+  instead of pickled per task, and which outlives the run, so successive
+  calls against the same panel pay zero spawn or attach cost).
+  ``processes`` is accepted as the older spelling of ``persistent``. The
+  execution strategies themselves live behind the
+  :class:`repro.core.executors.ExecutorBackend` interface and share one
+  :func:`repro.core.executors.drive` loop, which
+  :func:`repro.core.streaming.stream_ld_blocks` runs serially too;
 - :class:`TileManifest` journals every completed tile to disk (JSON lines
   with an input fingerprint and a per-record CRC32), so an interrupted run
   restarted with ``resume=True`` recomputes only the missing tiles;
 - failures are survived, not just reported: failing tiles are retried
-  with exponential backoff and deterministic jitter, a crashed worker
-  pool is rebuilt, a pool that cannot be (re)spawned degrades
-  ``processes → threads → serial``, tiles stuck past ``tile_timeout``
+  with exponential backoff and deterministic jitter, a crashed pool
+  worker is respawned in place, a pool that cannot be spawned degrades
+  ``persistent → threads → serial``, tiles stuck past ``tile_timeout``
   trip a hung-worker watchdog, corrupted tile payloads are caught by a
   CRC32 on the worker→driver handoff and recomputed, and a tile that
   exhausts ``max_retries`` can be *quarantined* (journaled, reported,
@@ -35,7 +37,7 @@ Deterministic fault injection for all of the above lives in
 ``faults=`` to rehearse any failure schedule. Results are always
 delivered to the caller's sink in the driver process, so any
 :mod:`repro.core.streaming` sink works unchanged and needs no locking.
-Tiles may arrive in any order under ``threads``/``processes``.
+Tiles may arrive in any order under ``threads``/``persistent``.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ if TYPE_CHECKING:  # recorder/progress typing only (observe.metrics pulls in
 
 __all__ = [
     "ENGINES",
+    "ENGINE_ALIASES",
     "EngineReport",
     "TileCorruptionError",
     "TileManifest",
@@ -89,13 +92,16 @@ __all__ = [
 ]
 
 #: Supported execution strategies, in increasing order of isolation.
-ENGINES = ("serial", "threads", "processes", "persistent")
+ENGINES = ("serial", "threads", "persistent")
+
+#: Older spellings :func:`run_engine` still accepts: ``processes`` named a
+#: per-run process pool, which the warm ``persistent`` pool replaced.
+ENGINE_ALIASES = {"processes": "persistent"}
 
 #: Degradation chain: where each executor falls back to when its worker
-#: pool repeatedly fails to (re)spawn.
+#: pool repeatedly fails to spawn.
 _FALLBACK = {
     "persistent": "threads",
-    "processes": "threads",
     "threads": "serial",
     "serial": None,
 }
@@ -189,8 +195,8 @@ def compute_tile(
 
     This is the whole per-tile work unit — one rectangular popcount GEMM
     plus the elementwise statistic — factored out so the serial loop,
-    thread workers, and shared-memory process workers run byte-identical
-    code. An optional *recorder* is forwarded to the blocked GEMM driver
+    thread workers, and pool workers run byte-identical code. An
+    optional *recorder* is forwarded to the blocked GEMM driver
     (in-process callers only; pool workers compute without one and their
     timings travel back in :class:`TileResult`).
     """
@@ -230,7 +236,7 @@ class TileResult:
     thread name in-process, ``pid-<n>`` for pool processes — and an
     optional CRC32 of the payload taken in the worker, verified in the
     driver before the sink sees the block. The checksum is always on for
-    the ``processes`` handoff (shared memory + pickle is the corruption
+    the process-pool handoff (the shared-memory arena is the corruption
     surface) and whenever a fault plan is active.
 
     With span profiling enabled, ``phase_seconds`` carries the tile's
@@ -609,23 +615,23 @@ def run_engine(
     sink:
         Callable ``(i0, j0, block)``; always invoked in the driver process
         (single-threaded), in arbitrary tile order under ``threads``/
-        ``processes``.
+        ``persistent``.
     stat:
         ``"r2"``, ``"D"``, or ``"H"``.
     engine:
         ``"serial"`` (in-process loop), ``"threads"`` (GIL-released numpy
-        workers), ``"processes"`` (per-run shared-memory worker pool), or
-        ``"persistent"`` (a warm worker pool that survives across
-        ``run_engine`` calls — see :mod:`repro.core.executors`; a second
-        run against the same panel performs zero pool spawns). When a
+        workers), or ``"persistent"`` (a warm shared-memory worker pool
+        that survives across ``run_engine`` calls — see
+        :mod:`repro.core.executors`; a second run against the same panel
+        performs zero pool spawns). ``"processes"`` is the older spelling
+        of ``"persistent"`` and is reported as ``"persistent"``. When a
         worker pool repeatedly fails to spawn, execution degrades
-        ``persistent/processes → threads → serial`` rather than
-        aborting; the executor that finished is reported as
-        ``engine_used``.
+        ``persistent → threads → serial`` rather than aborting; the
+        executor that finished is reported as ``engine_used``.
     n_workers:
-        Worker count for ``threads``/``processes`` (default: CPU count).
+        Worker count for ``threads``/``persistent`` (default: CPU count).
     batch_tiles:
-        Tiles dispatched per pool future under ``threads``/``processes``
+        Tiles dispatched per pool unit under ``threads``/``persistent``
         (amortizes submission and result overhead; failures within a
         batch are isolated per tile). ``None`` (default) picks a size
         from the tile count and worker count, and a ``tile_timeout``
@@ -651,14 +657,13 @@ def run_engine(
         inputs and parameters (fingerprint-checked). Tiles journaled as
         *quarantined* are retried, not skipped.
     max_retries:
-        Times a failing tile is recomputed (and a crashed worker pool
-        rebuilt) before the tile is quarantined or the run abandoned.
+        Times a failing tile is recomputed (and a failed pool spawn
+        retried) before the tile is quarantined or the run abandoned.
     tile_timeout:
-        Per-tile wall-clock budget in seconds. Under ``processes`` a
-        hung worker is SIGKILLed and the pool rebuilt; under
-        ``persistent`` only the stuck worker is killed and respawned in
-        place; under ``threads`` the stuck future is orphaned and the
-        tile resubmitted; the serial loop checks post-hoc. ``None``
+        Per-tile wall-clock budget in seconds. Under ``persistent`` the
+        stuck worker is killed and respawned in place; under
+        ``threads`` the stuck future is orphaned and the tile
+        resubmitted; the serial loop checks post-hoc. ``None``
         (default) disables the watchdog.
     retry_backoff / retry_backoff_cap:
         Base and cap (seconds) of the exponential backoff between retry
@@ -679,7 +684,7 @@ def run_engine(
         ``tile_computed`` per delivered tile (tile key, compute seconds,
         deliver/flush seconds, bytes written, worker id), one
         ``tile_skipped`` per journaled tile honoured on resume,
-        ``tile_retry`` / ``pool_restart`` per recovery action plus
+        ``tile_retry`` / ``worker_respawn`` per recovery action plus
         ``tile_corrupt`` / ``tile_timeout`` / ``tile_quarantined`` /
         ``pool_spawn_failed`` / ``executor_degraded`` for the hardened
         paths, and ``run_end`` — plus matching ``engine.*`` counters and
@@ -695,7 +700,7 @@ def run_engine(
         ``driver.wait``, ``driver.deliver``, ``driver.manifest_append``,
         ``driver.backoff``) record into it directly, in-process tiles
         record their GEMM phase spans into it per thread, and
-        ``processes`` workers install their own profiler and ship each
+        pool workers install their own profiler and ship each
         tile's phase breakdown back in ``TileResult.phase_seconds``
         (surfacing as ``phase.*`` timers and the ``phases`` field of
         ``tile_computed`` events when a recorder is attached). The
@@ -714,6 +719,7 @@ def run_engine(
     -------
     :class:`EngineReport` with tile/retry/quarantine accounting.
     """
+    engine = ENGINE_ALIASES.get(engine, engine)
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if stat not in _ENGINE_STATS:
@@ -1033,9 +1039,7 @@ def run_engine(
             )
 
         def local_batch(
-            unit: tuple[TileTask, ...],
-            epochs: tuple[int, ...],
-            slot: int | None,
+            unit: tuple[TileTask, ...], epochs: tuple[int, ...]
         ) -> "_ex._BatchOutcome":
             # Thread-pool twin of executors._run_batch_in_worker:
             # per-tile outcomes so a failing tile cannot sink its
@@ -1089,7 +1093,7 @@ def run_engine(
             )
             if current == "threads":
                 return _ex.ThreadsBackend(local_batch, workers, ctx), schedule, bsize
-            shared = dict(
+            backend = _ex.PersistentBackend(
                 words=words,
                 freqs=freqs,
                 n_samples=matrix.n_samples,
@@ -1108,12 +1112,6 @@ def run_engine(
                 # shared-memory copy is ever made.
                 panel_path=str(store.path) if store is not None else None,
             )
-            if current == "processes":
-                backend = _ex.ProcessesBackend(
-                    n_units=-(-len(work) // bsize), **shared
-                )
-            else:  # persistent
-                backend = _ex.PersistentBackend(**shared)
             return backend, schedule, bsize
 
         def start_prefetch(current: str, work: list[TileTask]) -> None:

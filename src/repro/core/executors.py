@@ -8,21 +8,20 @@ generic :func:`drive` loop supplies retry, backoff, quarantine, CRC
 verification, and the hung-worker watchdog on top. Adding an executor
 means writing a backend, not re-deriving the fault discipline.
 
-Four backends ship:
+Three backends ship:
 
 - :class:`SerialBackend` — in-process loop; compute happens inside
   ``submit_batch`` so delivery stays interleaved with computation (a
   crash mid-run journals exactly the tiles delivered so far).
 - :class:`ThreadsBackend` — a per-run ``ThreadPoolExecutor`` of
   GIL-released numpy workers.
-- :class:`ProcessesBackend` — a per-run ``ProcessPoolExecutor`` whose
-  workers attach the packed panel via ``multiprocessing.shared_memory``
-  and stage result blocks through a CRC-verified :class:`_ResultArena`.
-- :class:`PersistentBackend` — the warm pool. Workers are spawned
-  *once*, attach the shared panel and arena a single time, then pull
-  batches from per-worker ``multiprocessing`` pipes (raw connections —
-  no queue feeder threads, so warm dispatch latency is a single pipe
-  round trip) and survive across ``run_engine`` calls. Pools live in a module-level registry keyed by
+- :class:`PersistentBackend` — the process pool. Workers are spawned
+  *once*, attach the packed panel (``multiprocessing.shared_memory``,
+  or the panel store by path) and a CRC-verified :class:`_ResultArena`
+  a single time, then pull batches from per-worker ``multiprocessing``
+  pipes (raw connections — no queue feeder threads, so warm dispatch
+  latency is a single pipe round trip) and survive across
+  ``run_engine`` calls. Pools live in a module-level registry keyed by
   a panel fingerprint, are reaped after an idle timeout, capped by
   ``REPRO_POOL_MAX``, and can be listed/stopped cross-process via
   ``repro pool`` (worker pids and segment names are journaled to a
@@ -52,14 +51,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from collections.abc import Callable
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from multiprocessing import connection as mp_connection
@@ -96,7 +88,6 @@ __all__ = [
     "ExecutorBroken",
     "PersistentBackend",
     "PersistentPool",
-    "ProcessesBackend",
     "RetryContext",
     "SerialBackend",
     "ThreadsBackend",
@@ -127,23 +118,6 @@ class WorkerCrashError(RuntimeError):
     """A persistent worker died mid-batch; its tiles are charged a retry."""
 
 
-class _WorkersLost(Exception):
-    """A pool-level loss: the driver must re-chunk pending work.
-
-    Raised by backends whose failure mode takes the *whole* pool down
-    (``BrokenProcessPool``, the hung-pool watchdog). ``charged`` lists
-    in-flight handles whose tiles must be charged a timeout; the epoch
-    base advances so seeded kill faults do not re-fire on the retry.
-    """
-
-    def __init__(
-        self, cause: BaseException, charged: tuple["BatchHandle", ...] = ()
-    ) -> None:
-        super().__init__(str(cause))
-        self.cause = cause
-        self.charged = charged
-
-
 # ---------------------------------------------------------------------------
 # Batch transport: per-tile outcomes and the shared-memory result arena.
 # ---------------------------------------------------------------------------
@@ -155,11 +129,10 @@ class _TileOutcome:
 
     Exactly one of ``result``/``error`` is set. Batched dispatch reports
     per-tile failures in-band (the original exception instance, pickled
-    across the pool boundary exactly as ``future.exception()`` used to
-    be) rather than failing the whole unit, so batch-mates still land.
-    When the block traveled through the shared-memory arena,
-    ``result.block`` is ``None`` and ``arena_offset``/``shape`` locate
-    the payload inside the batch's slot.
+    across the worker's pipe) rather than failing the whole unit, so
+    batch-mates still land. When the block traveled through the
+    shared-memory arena, ``result.block`` is ``None`` and
+    ``arena_offset``/``shape`` locate the payload inside the batch's slot.
     """
 
     index: int
@@ -254,10 +227,6 @@ class _ResultArena:
         """Return *slot* to the free pool."""
         self._free.append(slot)
 
-    def reset(self) -> None:
-        """Free every slot (after a pool teardown orphans in-flight work)."""
-        self._free = list(range(self.n_slots))
-
     def read(self, slot: int, offset: int, shape: tuple[int, int]) -> np.ndarray:
         """The driver's view of one tile block inside *slot* (no copy)."""
         base = slot * self.slot_elems + offset
@@ -274,7 +243,8 @@ class _ResultArena:
 # Worker-side entry points (run inside pool processes).
 # ---------------------------------------------------------------------------
 
-#: Per-process state installed by the pool initializer (worker side).
+#: Per-process state: the attached panel and arena plus the current
+#: run's configuration (worker side).
 _WORKER_STATE: dict = {}
 
 
@@ -304,49 +274,6 @@ def _attach_panel(
     return shm, np.ndarray(words_shape, dtype=np.uint64, buffer=shm.buf)
 
 
-def _init_worker(
-    shm_name: str | None,
-    words_shape: tuple[int, int],
-    freqs: np.ndarray,
-    n_samples: int,
-    stat: str,
-    params: BlockingParams | None,
-    kernel: str,
-    undefined: float,
-    faults: FaultPlan | None,
-    arena_name: str | None = None,
-    arena_n_slots: int = 0,
-    arena_slot_elems: int = 0,
-    profile: bool = False,
-    panel_path: str | None = None,
-) -> None:
-    """Attach the shared words (and result arena) once per worker process."""
-    _set_worker_profile(profile)
-    shm, words = _attach_panel(shm_name, words_shape, panel_path)
-    arena_shm = None
-    arena = None
-    if arena_name is not None:
-        arena_shm = shared_memory.SharedMemory(name=arena_name)
-        arena = np.ndarray(
-            (arena_n_slots * arena_slot_elems,), dtype=np.float64,
-            buffer=arena_shm.buf,
-        )
-    _WORKER_STATE.update(
-        shm=shm,
-        words=words,
-        freqs=freqs,
-        n_samples=n_samples,
-        stat=stat,
-        params=params,
-        kernel=kernel,
-        undefined=undefined,
-        faults=faults,
-        arena_shm=arena_shm,
-        arena=arena,
-        arena_slot_elems=arena_slot_elems,
-    )
-
-
 def _set_worker_profile(profile: bool) -> None:
     """Install (or remove) the worker's private span profiler.
 
@@ -363,18 +290,18 @@ def _set_worker_profile(profile: bool) -> None:
 
 
 def _run_tile_in_worker(
-    tile: TileTask, epoch: int, arena_out: np.ndarray | None = None
+    tile: TileTask, epoch: int, arena_out: np.ndarray
 ) -> TileResult:
     """Pool task: compute one tile against the attached shared words.
 
     *epoch* is the driver's attempt counter for this tile (per-tile
-    failures plus pool restarts) — the deterministic clock fault
+    failures plus failed pool spawns) — the deterministic clock fault
     injection keys on, and the reason a seeded schedule fires
     identically regardless of which worker draws the tile.
 
-    With *arena_out* set, the block is staged into that shared-memory
-    view; the CRC32 (and any injected corruption) applies to the arena
-    bytes the driver will verify, exactly as it did to pickled payloads.
+    The block is staged into *arena_out*, its view of the batch's
+    shared-memory slot; the CRC32 (and any injected corruption) applies
+    to the arena bytes the driver will verify.
     """
     state = _WORKER_STATE
     plan: FaultPlan | None = state.get("faults")
@@ -394,10 +321,9 @@ def _run_tile_in_worker(
             kernel=state["kernel"],
             undefined=state["undefined"],
         )
-        if arena_out is not None:
-            with prof.span("arena_copy_out"):
-                arena_out[...] = block
-            block = arena_out
+        with prof.span("arena_copy_out"):
+            arena_out[...] = block
+        block = arena_out
     elapsed = time.perf_counter() - start
     phases = prof.collect(mark) or None
     if plan is not None:
@@ -417,47 +343,41 @@ def _run_tile_in_worker(
 
 
 def _run_batch_in_worker(
-    unit: tuple[TileTask, ...], epochs: tuple[int, ...], slot: int | None
+    unit: tuple[TileTask, ...], epochs: tuple[int, ...], slot: int
 ) -> _BatchOutcome:
     """Pool task: compute a batch of tiles, reporting per-tile outcomes.
 
-    A tile that raises is reported in-band (its batch-mates are
+    Blocks are written back to back into the batch's arena *slot*. A
+    tile that raises is reported in-band (its batch-mates are
     unaffected) so the driver can charge the attempt to that tile alone
-    and resubmit it as a singleton. Kill faults still take down the whole
-    future — that is the worker-crash path, handled at pool level.
+    and resubmit it as a singleton. Kill faults still take down the
+    worker — the crash path, where the driver respawns it and charges
+    the whole batch.
     """
     state = _WORKER_STATE
-    arena: np.ndarray | None = state.get("arena")
-    slot_elems = state.get("arena_slot_elems", 0)
+    arena: np.ndarray = state["arena"]
+    base = slot * state["arena_slot_elems"]
     items: list[_TileOutcome] = []
     offset = 0
     for index, (tile, epoch) in enumerate(zip(unit, epochs)):
-        rows = tile.i1 - tile.i0
-        cols = tile.j1 - tile.j0
-        out = None
-        if arena is not None and slot is not None:
-            base = slot * slot_elems + offset
-            out = arena[base : base + rows * cols].reshape(rows, cols)
+        shape = (tile.i1 - tile.i0, tile.j1 - tile.j0)
+        size = shape[0] * shape[1]
+        out = arena[base + offset : base + offset + size].reshape(shape)
         try:
-            result = _run_tile_in_worker(tile, epoch, arena_out=out)
+            result = _run_tile_in_worker(tile, epoch, out)
         except Exception as error:  # noqa: BLE001 - reported in-band
             items.append(_TileOutcome(index=index, result=None, error=error))
         else:
-            if out is not None:
-                items.append(
-                    _TileOutcome(
-                        index=index,
-                        result=_with_block(result, None),
-                        error=None,
-                        arena_offset=offset,
-                        shape=(rows, cols),
-                    )
+            items.append(
+                _TileOutcome(
+                    index=index,
+                    result=_with_block(result, None),
+                    error=None,
+                    arena_offset=offset,
+                    shape=shape,
                 )
-            else:
-                items.append(
-                    _TileOutcome(index=index, result=result, error=None)
-                )
-        offset += rows * cols
+            )
+        offset += size
     return _BatchOutcome(items=tuple(items))
 
 
@@ -632,13 +552,6 @@ class RetryContext:
                 timeout_s=self.tile_timeout,
             )
 
-    def note_restart(self, error: BaseException) -> None:
-        if self.live is not None:
-            self.live.pool_restart()
-        if self.recorder is not None:
-            self.recorder.inc("engine.pool_restarts")
-            self.recorder.event("pool_restart", error=repr(error))
-
     def note_spawn_failure(self, error: BaseException) -> None:
         if self.recorder is not None:
             self.recorder.inc("engine.spawn_failures")
@@ -694,7 +607,7 @@ class ExecutorBackend(Protocol):
     """What :func:`drive` needs from an execution strategy.
 
     ``start`` readies the pool (may raise: spawn failure, counted
-    against the restart budget), ``submit_batch`` dispatches one unit or
+    against the retry budget), ``submit_batch`` dispatches one unit or
     returns ``None`` when the backend is at capacity, ``drain`` blocks
     until at least one unit completes (or the timeout lapses) and
     returns them, ``shutdown`` releases everything the backend owns for
@@ -703,8 +616,8 @@ class ExecutorBackend(Protocol):
     ``materialize`` turns an in-band outcome into a :class:`TileResult`
     (reading the shared-memory arena where applicable), ``release``
     recycles per-unit resources, and ``finish_run`` runs once per
-    scheduling round (pool teardown for per-run pools, in-flight
-    abort for persistent ones).
+    scheduling round (thread-pool teardown, or in-flight abort for the
+    warm pool).
     """
 
     name: str
@@ -834,7 +747,7 @@ class ThreadsBackend:
     def __init__(
         self,
         batch_task: Callable[
-            [tuple[TileTask, ...], tuple[int, ...], int | None], _BatchOutcome
+            [tuple[TileTask, ...], tuple[int, ...]], _BatchOutcome
         ],
         n_workers: int,
         ctx: RetryContext,
@@ -858,7 +771,7 @@ class ThreadsBackend:
         self, unit: tuple[TileTask, ...], epochs: tuple[int, ...]
     ) -> BatchHandle | None:
         with span("driver.dispatch"):
-            future = self._pool.submit(self._task, unit, epochs, None)
+            future = self._pool.submit(self._task, unit, epochs)
         handle = BatchHandle(
             unit=unit, epochs=epochs, started=time.perf_counter(),
             future=future,
@@ -906,235 +819,16 @@ class ThreadsBackend:
 
 
 # ---------------------------------------------------------------------------
-# Per-run process pool (shared-memory panel + result arena).
+# Persistent warm-worker pool.
 # ---------------------------------------------------------------------------
-
-
-def _kill_pool_workers(pool: Executor) -> None:
-    """Best-effort SIGKILL of a process pool's workers (hung-pool watchdog)."""
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        try:
-            proc.kill()
-        except Exception:  # pragma: no cover - already-dead workers
-            pass
 
 
 def _mp_context():
-    """Fork where available: worker startup is cheap and initargs are
-    inherited rather than pickled. Everything passed is spawn-safe too."""
+    """Fork where available: worker startup is cheap and worker arguments
+    are inherited rather than pickled. Everything passed is spawn-safe too."""
     if "fork" in get_all_start_methods():
         return get_context("fork")
     return get_context()  # pragma: no cover - non-POSIX fallback
-
-
-class ProcessesBackend:
-    """A per-run ``ProcessPoolExecutor`` with both directions in shared memory.
-
-    The driver copies the packed word matrix into one
-    ``multiprocessing.shared_memory`` segment; each worker maps it via
-    the pool initializer, so task submission pickles only
-    :class:`TileTask` keys (four ints each) plus attempt epochs. Results
-    flow back through a driver-owned :class:`_ResultArena`: workers
-    write statistic blocks straight into their batch's shared-memory
-    slot and pickle only offsets, shapes, and CRC32s — result payloads
-    never cross the pipe. Submission is windowed by the arena's slot
-    count. A broken pool surfaces as :class:`_WorkersLost` so the driver
-    rebuilds it; the segments themselves live for the whole run and are
-    released (close *and* unlink, each step guarded) in ``shutdown``.
-    """
-
-    name = "processes"
-    counts_batches = True
-    preemptive_timeout = True
-    orphans_on_cancel = False
-
-    def __init__(
-        self,
-        *,
-        words: np.ndarray,
-        freqs: np.ndarray,
-        n_samples: int,
-        stat: str,
-        params: BlockingParams | None,
-        kernel: str,
-        undefined: float,
-        faults: FaultPlan | None,
-        n_workers: int,
-        batch_size: int,
-        max_tile_elems: int,
-        n_units: int,
-        profile: bool,
-        ctx: RetryContext,
-        panel_path: str | None = None,
-    ) -> None:
-        self._ctx = ctx
-        self._faults = faults
-        self._n_workers = n_workers
-        self._mp = _mp_context()
-        self._pool: ProcessPoolExecutor | None = None
-        self._futures: dict = {}
-        self._spawn_index = 0
-        self.spawns_this_run = 0
-        self.respawns_this_run = 0
-        self._shm = None
-        words_shape = tuple(words.shape)
-        if panel_path is None:
-            # In-core handoff: copy the packed words into one segment
-            # every worker maps via the pool initializer.
-            words = np.ascontiguousarray(words, dtype=np.uint64)
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=max(1, words.nbytes)
-            )
-        self._arena: _ResultArena | None = None
-        try:
-            if self._shm is not None:
-                panel = np.ndarray(
-                    words.shape, dtype=np.uint64, buffer=self._shm.buf
-                )
-                panel[:] = words
-                del panel
-            # A slot must hold the largest possible unit; keep a couple
-            # of spare slots beyond the worker count so completed
-            # batches can be drained while fresh units are already
-            # queued.
-            self._arena = _ResultArena(
-                n_slots=min(max(1, n_units), 2 * n_workers + 2),
-                slot_elems=batch_size * max_tile_elems,
-            )
-        except BaseException:
-            # Partial construction must not leak the panel segment.
-            self.shutdown()
-            raise
-        self._initargs = (
-            self._shm.name if self._shm is not None else None,
-            words_shape,
-            freqs,
-            n_samples,
-            stat,
-            params,
-            kernel,
-            undefined,
-            faults,
-            self._arena.name,
-            self._arena.n_slots,
-            self._arena.slot_elems,
-            profile,
-            panel_path,
-        )
-        if ctx.recorder is not None:
-            ctx.recorder.inc("engine.arena_bytes", self._arena.nbytes)
-
-    def start(self) -> None:
-        if self._pool is not None:
-            return
-        index = self._spawn_index
-        self._spawn_index += 1
-        if self._faults is not None:
-            self._faults.fire("pool_spawn", (-1, -1), index)
-        with span("driver.pool_spawn"):
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._n_workers,
-                mp_context=self._mp,
-                initializer=_init_worker,
-                initargs=self._initargs,
-            )
-        self.spawns_this_run += 1
-        self._ctx.note_pool_spawn(self.name)
-        # A pool teardown orphans whatever was in flight; those slots
-        # can never be released by their (dead) futures.
-        self._arena.reset()
-        self._futures = {}
-
-    def submit_batch(
-        self, unit: tuple[TileTask, ...], epochs: tuple[int, ...]
-    ) -> BatchHandle | None:
-        slot = self._arena.acquire()
-        if slot is None:
-            return None
-        try:
-            with span("driver.dispatch"):
-                future = self._pool.submit(
-                    _run_batch_in_worker, unit, epochs, slot
-                )
-        except BrokenProcessPool as error:
-            self._arena.release(slot)
-            raise _WorkersLost(error) from error
-        handle = BatchHandle(
-            unit=unit, epochs=epochs, started=time.perf_counter(),
-            slot=slot, future=future,
-        )
-        self._futures[future] = handle
-        return handle
-
-    def drain(self, timeout: float | None) -> list[BatchDone]:
-        done, _ = wait(
-            set(self._futures), timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        completed: list[BatchDone] = []
-        for future in done:
-            handle = self._futures.pop(future)
-            error = future.exception()
-            if error is None:
-                completed.append(BatchDone(handle=handle, outcome=future.result()))
-            elif isinstance(error, BrokenProcessPool):
-                raise _WorkersLost(error) from error
-            else:
-                completed.append(
-                    BatchDone(handle=handle, outcome=None, error=error)
-                )
-        return completed
-
-    def cancel_overdue(self, handles: list[BatchHandle]) -> None:
-        # A hung process worker is SIGKILLed and the whole pool rebuilt;
-        # the driver charges the overdue tiles and re-chunks the rest.
-        _kill_pool_workers(self._pool)
-        cause = TileTimeoutError(
-            f"{len(handles)} unit(s) exceeded the tile timeout"
-        )
-        raise _WorkersLost(cause, charged=tuple(handles))
-
-    def materialize(self, handle: BatchHandle, item: _TileOutcome) -> TileResult:
-        if handle.slot is not None and item.shape is not None:
-            return _with_block(
-                item.result,
-                self._arena.read(handle.slot, item.arena_offset, item.shape),
-            )
-        return item.result  # pragma: no cover - arena always on here
-
-    def release(self, handle: BatchHandle) -> None:
-        if handle.slot is not None:
-            self._arena.release(handle.slot)
-
-    def finish_run(self, *, abandoned: bool) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=not abandoned, cancel_futures=True)
-            self._pool = None
-        self._futures = {}
-
-    def shutdown(self) -> None:
-        """Tear down the pool and release both segments.
-
-        Every step is guarded so an arena that fails to close can never
-        leave the panel segment behind in ``/dev/shm`` — the pre-existing
-        leak this interface closes.
-        """
-        try:
-            self.finish_run(abandoned=False)
-        finally:
-            try:
-                if self._arena is not None:
-                    self._arena.close()
-                    self._arena = None
-            finally:
-                if self._shm is not None:
-                    _close_and_unlink(self._shm)
-                    self._shm = None
-
-
-# ---------------------------------------------------------------------------
-# Persistent warm-worker pool.
-# ---------------------------------------------------------------------------
 
 
 def panel_fingerprint(words: np.ndarray, n_samples: int) -> str:
@@ -1653,18 +1347,12 @@ class PersistentBackend:
             self._rebuild_poller()
 
     def materialize(self, handle: BatchHandle, item: _TileOutcome) -> TileResult:
-        if handle.slot is not None and item.shape is not None:
-            return _with_block(
-                item.result,
-                self._pool.arena.read(
-                    handle.slot, item.arena_offset, item.shape
-                ),
-            )
-        return item.result  # pragma: no cover - arena always on here
+        arena = self._pool.arena
+        block = arena.read(handle.slot, item.arena_offset, item.shape)
+        return _with_block(item.result, block)
 
     def release(self, handle: BatchHandle) -> None:
-        if handle.slot is not None:
-            self._pool.arena.release(handle.slot)
+        self._pool.arena.release(handle.slot)
 
     def finish_run(self, *, abandoned: bool) -> None:
         """End of one scheduling round: abort whatever is still in flight.
@@ -2003,18 +1691,15 @@ def drive(
     charged an attempt and resubmitted as a singleton while its
     batch-mates land normally. Past ``max_retries`` a tile is
     quarantined (when allowed) or the run aborts with the original
-    error. A backend that loses its whole pool raises
-    :class:`_WorkersLost`; the pool is restarted and pending work
-    re-chunked, with the epoch base advanced so seeded kill faults do
-    not re-fire. When the pool cannot be (re)started within the restart
-    budget, :class:`ExecutorBroken` escapes so the caller can degrade to
-    a simpler executor. Returns ``(retries, units_submitted)``.
+    error. When the pool cannot be started within the retry budget,
+    :class:`ExecutorBroken` escapes so the caller can degrade to a
+    simpler executor. Returns ``(retries, units_submitted)``.
 
     The watchdog: with ``ctx.tile_timeout`` set and a backend that
     supports preemption, a unit running past its wall-clock budget is
     cancelled via ``backend.cancel_overdue`` — SIGKILL + single respawn
-    for persistent workers, orphaning for threads, a full pool rebuild
-    for per-run processes — and its tiles are charged a timeout.
+    for persistent workers, orphaning for threads — and its tiles are
+    charged a timeout.
     """
     retries = 0
     submissions = 0
@@ -2024,7 +1709,7 @@ def drive(
     order = list(tiles)
 
     def handle_failure(
-        tile: TileTask, error: BaseException, requeue: deque | None
+        tile: TileTask, error: BaseException, requeue: deque
     ) -> None:
         nonlocal retries
         attempts[tile] += 1
@@ -2040,8 +1725,7 @@ def drive(
         if delay > 0:
             with span("driver.backoff"):
                 time.sleep(delay)
-        if requeue is not None:
-            requeue.append((tile,))
+        requeue.append((tile,))
 
     while pending:
         try:
@@ -2054,6 +1738,8 @@ def drive(
             continue
         queue = _chunk_batches(order, pending, batch_size)
         inflight: set[BatchHandle] = set()
+        # Completed units not yet released (they may hold arena slots).
+        drained: deque[BatchDone] = deque()
         abandoned = False
 
         def try_submit(unit: tuple[TileTask, ...]) -> bool:
@@ -2088,7 +1774,7 @@ def drive(
                         if now - h.started >= ctx.tile_timeout
                     ]
                     if overdue:
-                        backend.cancel_overdue(overdue)  # may raise
+                        backend.cancel_overdue(overdue)
                         abandoned = abandoned or backend.orphans_on_cancel
                         for handle in overdue:
                             inflight.discard(handle)
@@ -2109,11 +1795,10 @@ def drive(
                     )
                     slack = max(0.0, deadline - now) + 1e-3
                 with span("driver.wait"):
-                    completed = backend.drain(slack)
-                for done in completed:
+                    drained.extend(backend.drain(slack))
+                while drained:
+                    done = drained[0]
                     handle = done.handle
-                    if handle not in inflight:  # pragma: no cover - stale
-                        continue
                     inflight.discard(handle)
                     if done.error is not None:
                         for tile in handle.unit:
@@ -2138,26 +1823,15 @@ def drive(
                             # now.
                             ctx.deliver(tile, result)
                             pending.discard(tile)
-                    backend.release(handle)
+                    backend.release(drained.popleft().handle)
                     pump()
                 if ctx.live is not None:
                     ctx.live.maybe_publish()
-        except _WorkersLost as lost:
-            resets += 1
-            for handle in lost.charged:
-                for tile in handle.unit:
-                    if tile in pending:
-                        handle_failure(
-                            tile,
-                            TileTimeoutError(
-                                f"tile {tile.key} exceeded the "
-                                f"{ctx.tile_timeout}s budget (worker killed)"
-                            ),
-                            None,
-                        )
-            ctx.note_restart(lost.cause)
-            if resets > ctx.max_retries:
-                raise ExecutorBroken(lost.cause) from lost.cause
         finally:
+            # A raising sink, an exhausted retry or an injected crash
+            # skips the releases above; a warm pool outlives the run, so
+            # the slots of every drained unit must go back here.
+            for done in drained:
+                backend.release(done.handle)
             backend.finish_run(abandoned=abandoned)
     return retries, submissions

@@ -19,11 +19,11 @@ Two cooperation modes, matching how the executors acquire their inputs:
   the loader has not stayed ahead) and ``release(tile)`` when done;
   eviction prefers fully-consumed windows, so the budget is a real
   ceiling on resident panel bytes (``peak_resident_bytes`` proves it).
-- **Warm mode** (:class:`WarmReader`, used by the processes and
-  persistent engines): each worker maps the store read-only by path, so
-  there is no driver-RAM window to manage — the prefetch thread instead
-  reads windows sequentially ahead of the delivery frontier into one
-  scratch buffer, priming the page cache the workers' memmaps will hit.
+- **Warm mode** (:class:`WarmReader`, used by the persistent engine):
+  each worker maps the store read-only by path, so there is no
+  driver-RAM window to manage — the prefetch thread instead reads
+  windows sequentially ahead of the delivery frontier into one scratch
+  buffer, priming the page cache the workers' memmaps will hit.
 
 Both modes record ``io.prefetch`` spans around every disk read plus
 ``prefetch.bytes_read`` / ``prefetch.stall_seconds`` metrics, which the

@@ -12,11 +12,10 @@ block of the (lower-triangle) statistic matrix to a caller-supplied sink:
   sparse "report interesting pairs" mode PLINK's ``--r2`` output uses);
 - any callable ``sink(i0, j0, block)`` works.
 
-Tile geometry and per-tile computation are shared with the sharded
-execution engine (:mod:`repro.core.engine`): this module is the simple
-single-pass driver over :func:`repro.core.engine.enumerate_tiles`, while
-:func:`repro.core.engine.run_engine` schedules the same tiles over worker
-pools with checkpoint/resume.
+:func:`stream_ld_blocks` is the plain entry point: one in-process
+:func:`repro.core.engine.run_engine` pass with no retries and no journal.
+The sinks here serve every engine run alike, including the worker-pool
+and checkpoint/resume ones.
 
 Peak memory is one ``block × block`` tile plus the packed inputs,
 independent of the number of SNPs.
@@ -24,7 +23,6 @@ independent of the number of SNPs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -33,13 +31,7 @@ import numpy as np
 
 from repro.core.blocking import BlockingParams
 from repro.core.gemm import DEFAULT_KERNEL
-from repro.core.engine import (
-    TileCorruptionError,
-    _crc32_array,
-    compute_tile,
-    enumerate_tiles,
-)
-from repro.core.ldmatrix import as_bitmatrix
+from repro.core.engine import run_engine
 from repro.core.windowed import write_banded_block
 from repro.encoding.bitmatrix import BitMatrix
 from repro.faults import FaultPlan
@@ -385,129 +377,35 @@ def stream_ld_blocks(
         loaded window is fully consumed before eviction.
     faults:
         Optional :class:`repro.faults.FaultPlan`, consulted at the
-        ``tile_compute`` and ``tile_deliver`` sites of every block. The
-        streaming loop has no retry machinery, so an injected failure
-        propagates to the caller; an injected ``bitflip`` is caught by a
-        payload checksum and raised as
-        :class:`repro.core.engine.TileCorruptionError` rather than
-        silently delivered. ``None`` (default) costs one comparison per
+        ``tile_compute`` and ``tile_deliver`` sites of every block. There
+        are no retries, so the first failure propagates to the caller; an
+        injected ``bitflip`` is caught by a payload checksum and raised
+        as :class:`repro.core.engine.TileCorruptionError` before the sink
+        sees the block. ``None`` (default) costs one comparison per
         block.
     recorder:
-        Optional :class:`repro.observe.MetricsRecorder`; one
-        ``tile_computed`` event per delivered block (compute vs. deliver
-        seconds, bytes), same vocabulary as the engine. ``None`` (the
-        default) costs one comparison per block.
+        Optional :class:`repro.observe.MetricsRecorder`; receives the
+        engine's ``run_start`` / ``tile_computed`` / ``run_end`` events
+        and ``engine.*`` counters. ``None`` (the default) costs one
+        comparison per block.
     progress:
         Optional :class:`repro.observe.ProgressReporter`, advanced per
         delivered block.
     """
-    if stat not in ("r2", "D", "H"):
-        raise ValueError(f"unknown LD statistic {stat!r}; choose r2/D/H")
-    from repro.core.engine import _resolve_store
-
-    store = _resolve_store(data)
-    if store is not None:
-        matrix = store.to_bitmatrix()
-        freqs = store.freqs
-    else:
-        if memory_budget is not None:
-            raise ValueError(
-                "memory_budget requires a packed panel store (pass a "
-                "PanelStore or a path to one); in-RAM inputs are already "
-                "resident"
-            )
-        matrix = as_bitmatrix(data)
-        freqs = None
-    if matrix.n_samples == 0:
-        raise ValueError("LD undefined for zero samples")
-    if freqs is None:
-        freqs = matrix.allele_frequencies()
-    tiles = enumerate_tiles(
-        matrix.n_snps, block_snps, include_diagonal=include_diagonal_blocks
+    report = run_engine(
+        data,
+        sink,
+        engine="serial",
+        max_retries=0,
+        stat=stat,
+        block_snps=block_snps,
+        params=params,
+        kernel=kernel,
+        undefined=undefined,
+        include_diagonal_blocks=include_diagonal_blocks,
+        memory_budget=memory_budget,
+        faults=faults,
+        recorder=recorder,
+        progress=progress,
     )
-    prefetcher = None
-    if store is not None:
-        from repro.core import prefetch as _pf
-
-        # Panel-major visit order: every tile of a window pair before the
-        # next pair, so each loaded window is fully consumed before
-        # eviction. With no budget the whole panel "window" is the memmap
-        # itself and plain tile order is fine.
-        window_rows = block_snps
-        if memory_budget is not None:
-            _, window_rows = _pf.plan_windows(
-                matrix.n_snps,
-                block_snps,
-                row_nbytes=store.row_nbytes,
-                memory_budget=memory_budget,
-            )
-            prefetcher = _pf.PanelPrefetcher(
-                store,
-                tiles,
-                block_snps=block_snps,
-                memory_budget=memory_budget,
-                faults=faults,
-                recorder=recorder,
-            )
-        tiles = _pf.order_panel_major(tiles, window_rows)
-    try:
-        for tile in tiles:
-            if faults is not None:
-                faults.fire("tile_compute", tile.key, 0)
-            source = (
-                prefetcher.acquire(tile)
-                if prefetcher is not None
-                else matrix.words
-            )
-            try:
-                # Acquired before the compute clock starts, so prefetch
-                # stall time never masquerades as tile compute time.
-                start = time.perf_counter()
-                block = compute_tile(
-                    source, freqs, matrix.n_samples, tile,
-                    stat=stat, params=params, kernel=kernel,
-                    undefined=undefined,
-                )
-            finally:
-                if prefetcher is not None:
-                    prefetcher.release(tile)
-            if faults is not None:
-                faults.fire("tile_deliver", tile.key, 0)
-                checksum = _crc32_array(block)
-                faults.corrupt("tile_deliver", tile.key, 0, block)
-                if _crc32_array(block) != checksum:
-                    raise TileCorruptionError(
-                        f"tile {tile.key} payload corrupted before delivery "
-                        "(checksum mismatch); refusing to write it"
-                    )
-            mid = time.perf_counter() if recorder is not None else 0.0
-            sink(tile.i0, tile.j0, block)
-            if recorder is not None:
-                end = time.perf_counter()
-                recorder.inc("stream.tiles_computed")
-                recorder.inc("stream.pairs_computed", tile.n_pairs)
-                recorder.inc("stream.bytes_delivered", int(block.nbytes))
-                recorder.observe_time(
-                    "stream.tile_compute_seconds", mid - start
-                )
-                recorder.observe_time(
-                    "stream.tile_deliver_seconds", end - mid
-                )
-                recorder.event(
-                    "tile_computed",
-                    tile=[tile.i0, tile.j0],
-                    pairs=tile.n_pairs,
-                    compute_s=mid - start,
-                    deliver_s=end - mid,
-                    bytes=int(block.nbytes),
-                    worker="driver",
-                )
-            if progress is not None:
-                progress.advance(tile.n_pairs)
-    finally:
-        if prefetcher is not None:
-            prefetcher.close()
-        if store is not None and store is not data:
-            # Opened here from a path; caller-supplied stores stay open.
-            store.close()
-    return len(tiles)
+    return report.n_computed

@@ -29,7 +29,7 @@ Actions:
 
 - ``raise``: raise :class:`InjectedFault` (a retryable worker error);
 - ``kill``: ``SIGKILL`` the current process when it is a pool worker
-  (exercising pool rebuild), downgraded to ``raise`` in-process;
+  (exercising the worker respawn), downgraded to ``raise`` in-process;
 - ``delay``: sleep ``delay_seconds`` (exercising the tile watchdog);
 - ``bitflip``: flip one payload bit *after* the worker checksummed the
   tile (exercising corruption detection on the handoff);

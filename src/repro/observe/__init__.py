@@ -31,8 +31,8 @@ The engine's fault-tolerance machinery reports through the same channel:
 ``tile_retry`` events carry the specific failure (plus ``tile_corrupt``
 for handoff-checksum mismatches and ``tile_timeout`` for watchdog
 evictions), ``tile_quarantined`` marks a poison tile taken out of the
-run, ``pool_spawn_failed`` / ``pool_restart`` track worker-pool churn,
-and ``executor_degraded`` records a processes → threads → serial
+run, ``pool_spawn_failed`` / ``worker_respawn`` track worker-pool churn,
+and ``executor_degraded`` records a persistent → threads → serial
 fallback — with matching ``engine.corruptions`` / ``engine.timeouts`` /
 ``engine.tiles_quarantined`` / ``engine.spawn_failures`` /
 ``engine.degradations`` counters.

@@ -130,7 +130,6 @@ class LivePublisher:
         self.pairs_done = 0
         self.pairs_skipped = 0
         self.retries = 0
-        self.pool_restarts = 0
         self.worker_respawns = 0
         self.workers: dict[str, dict] = {}
         self._respawn_log: deque[dict] = deque(maxlen=8)
@@ -182,9 +181,6 @@ class LivePublisher:
 
     def tile_retry(self) -> None:
         self.retries += 1
-
-    def pool_restart(self) -> None:
-        self.pool_restarts += 1
 
     def worker_respawn(self, worker: int) -> None:
         self.worker_respawns += 1
@@ -290,7 +286,6 @@ class LivePublisher:
             "worker_respawns": self.worker_respawns,
             "recent_respawns": list(self._respawn_log),
             "retries": self.retries,
-            "pool_restarts": self.pool_restarts,
             "prefetch": prefetch,
             "anomalies": self.last_anomalies,
             "rate_history": [round(r, 3) for r in self._rate_history],
@@ -485,8 +480,7 @@ def render_top(snapshot: dict) -> str:
     lines.append(
         f"workers: {n_busy} busy, {len(workers) - n_busy} idle | "
         f"{snapshot.get('worker_respawns', 0)} respawns, "
-        f"{snapshot.get('retries', 0)} retries, "
-        f"{snapshot.get('pool_restarts', 0)} pool restarts"
+        f"{snapshot.get('retries', 0)} retries"
     )
     if workers:
         lines.append(f"  {'worker':<20} {'state':>6} {'tiles':>6} "
@@ -577,8 +571,6 @@ def prometheus_text(snapshot: dict) -> str:
     counter("repro_retries_total", "Tile retries", snapshot.get("retries", 0))
     counter("repro_worker_respawns_total", "Workers respawned in place",
             snapshot.get("worker_respawns", 0))
-    counter("repro_pool_restarts_total", "Full worker-pool restarts",
-            snapshot.get("pool_restarts", 0))
     counter("repro_prefetch_bytes_read_total",
             "Panel bytes staged by the prefetcher",
             prefetch.get("bytes_read", 0))

@@ -7,7 +7,7 @@ module provides the recording half of :mod:`repro.observe`:
 
 - :class:`MetricsRecorder` accumulates named counters, timers, and value
   histograms, and emits structured *events* (one dict per occurrence:
-  tile completed, tile retried, worker pool rebuilt, ...). Every event
+  tile completed, tile retried, worker respawned, ...). Every event
   bumps an ``events.<kind>`` counter, so aggregate accounting survives
   even when the full event stream is not retained.
 - :class:`JsonlTraceSink` streams events to a JSON-lines file for

@@ -78,7 +78,6 @@ _FAULT_KINDS = (
     "tile_corrupt",
     "tile_timeout",
     "tile_quarantined",
-    "pool_restart",
     "pool_spawn_failed",
     "executor_degraded",
 )

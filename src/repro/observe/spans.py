@@ -30,9 +30,9 @@ Design constraints, in order:
    engine (:mod:`repro.observe.report`) check coverage against each
    tile's measured compute seconds.
 
-Worker processes cannot share the driver's profiler; the engine installs
-a fresh profiler per worker (see
-:func:`repro.core.executors._init_worker`) and ships each tile's
+Worker processes cannot share the driver's profiler; each pool worker
+installs its own when a run asks for profiling (see
+:func:`repro.core.executors._set_worker_profile`) and ships each tile's
 per-phase self-seconds back inside
 :class:`~repro.core.engine.TileResult`.
 """
@@ -319,8 +319,8 @@ def install_profiler(
 
     ``None`` installs :data:`NULL_PROFILER` (profiling off). The engine
     installs the caller's profiler for the duration of a run and restores
-    the previous one afterwards; worker processes install their own in
-    the pool initializer.
+    the previous one afterwards; pool workers install their own when a
+    run's configuration asks for profiling.
     """
     global _ACTIVE
     previous = _ACTIVE

@@ -20,7 +20,12 @@ from repro.core.banding import (
     dense_tile_count,
     genomic_index_width,
 )
-from repro.core.engine import ENGINES, enumerate_tiles, run_engine
+from repro.core.engine import (
+    ENGINE_ALIASES,
+    ENGINES,
+    enumerate_tiles,
+    run_engine,
+)
 from repro.core.executors import stop_pools
 from repro.core.ldmatrix import ld_matrix
 from repro.core.prefetch import min_memory_budget
@@ -245,7 +250,7 @@ class TestBandedExecutors:
         yield
         stop_pools()
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", (*ENGINES, *ENGINE_ALIASES))
     def test_every_executor_matches_dense_band(
         self, packed, dense_band, engine
     ):

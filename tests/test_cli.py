@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import load_panel, main
+from repro.core.engine import ENGINE_ALIASES
 from repro.io.msformat import write_ms
 from repro.io.vcf import write_vcf
 
@@ -169,7 +170,9 @@ class TestLdEngineOption:
 
         np.testing.assert_array_equal(np.load(out), ld_matrix(haps))
         assert (tmp_path / "ld.npy.manifest").exists()
-        assert f"engine={engine}" in capsys.readouterr().out
+        # "processes" is the older spelling of the warm pool.
+        resolved = ENGINE_ALIASES.get(engine, engine)
+        assert f"engine={resolved}" in capsys.readouterr().out
 
     def test_resume_skips_journaled_tiles(self, ms_panel, tmp_path, capsys):
         path, haps = ms_panel
@@ -241,13 +244,13 @@ class TestLdEngineOption:
         metrics = tmp_path / "m.json"
         trace = tmp_path / "trace.jsonl"
         assert main([
-            "ld", str(path), "--engine", "processes", "--workers", "2",
+            "ld", str(path), "--engine", "persistent", "--workers", "2",
             "--block-snps", "16", "--out", str(out), "--progress",
             "--metrics-out", str(metrics), "--trace-out", str(trace),
         ]) == 0
         payload = json.loads(metrics.read_text())
         assert payload["schema"] == "repro-ld-metrics/1"
-        assert payload["engine"] == "processes"
+        assert payload["engine"] == "persistent"
         assert payload["n_snps"] == haps.shape[1]
         n_tiles = 10  # 60 SNPs in 16-SNP blocks -> 4 block rows
         assert payload["n_tiles"] == payload["n_computed"] == n_tiles

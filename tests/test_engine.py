@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import (
+    ENGINE_ALIASES,
     ENGINES,
     TileManifest,
     TileTask,
@@ -15,10 +16,14 @@ from repro.core.engine import (
     input_fingerprint,
     run_engine,
 )
+from repro.core.executors import stop_pools
 from repro.core.ldmatrix import as_bitmatrix, ld_matrix
 from repro.core.streaming import NpyMemmapSink
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.observe import MetricsRecorder
+
+#: Every accepted ``engine=`` spelling: the executors and their aliases.
+SPELLINGS = (*ENGINES, *ENGINE_ALIASES)
 
 
 @pytest.fixture
@@ -133,7 +138,7 @@ class _AssemblingSink:
 
 
 class TestRunEngine:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPELLINGS)
     @pytest.mark.parametrize("stat", ["r2", "D", "H"])
     def test_matches_in_memory_pipeline(self, panel, engine, stat):
         n = panel.shape[1]
@@ -176,7 +181,7 @@ class TestRunEngine:
         with pytest.raises(ValueError, match="max_retries"):
             run_engine(panel, lambda *a: None, max_retries=-1)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPELLINGS)
     def test_memmap_sink_round_trip(self, panel, tmp_path, engine):
         path = tmp_path / "ld.npy"
         n = panel.shape[1]
@@ -196,7 +201,7 @@ class TestRetries:
     real worker crashes, no counter files, no flakiness.
     """
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPELLINGS)
     def test_transient_failures_are_retried(self, panel, engine):
         plan = FaultPlan(seed=11, specs=(
             FaultSpec(site="tile_compute", tile=(10, 10), attempts_below=2),
@@ -224,7 +229,7 @@ class TestRetries:
             sink.matrix[il], ld_matrix(panel)[il]
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPELLINGS)
     def test_persistent_failure_raises_after_retries(self, panel, engine):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_compute", tile=(0, 0)),
@@ -258,7 +263,7 @@ class _CrashingSink:
 
 
 class TestCrashResume:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPELLINGS)
     def test_interrupted_run_resumes_bit_identically(
         self, panel, tmp_path, engine
     ):
@@ -346,6 +351,8 @@ class TestBatchedDispatch:
 
     @pytest.mark.parametrize("engine", ["threads", "processes"])
     def test_batch_accounting_in_recorder(self, panel, engine):
+        # The arena is counted when its pool is built, so start cold.
+        stop_pools()
         recorder = MetricsRecorder()
         report = run_engine(
             panel, _AssemblingSink(panel.shape[1]), engine=engine,
@@ -353,7 +360,7 @@ class TestBatchedDispatch:
         )
         assert recorder.counters["engine.batches_dispatched"] == report.n_batches
         if engine == "processes":
-            # The result arena's footprint is reported once per run.
+            # The result arena's footprint is reported once per pool.
             assert recorder.counters["engine.arena_bytes"] > 0
         else:
             assert "engine.arena_bytes" not in recorder.counters

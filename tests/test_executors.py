@@ -1,13 +1,15 @@
 """Executor-conformance battery (repro.core.executors).
 
 One parametrized suite run against every backend — ``serial``,
-``threads``, ``processes``, ``persistent`` — so any future execution
-strategy gets conformance for free: bit-identical r² versus the serial
-oracle, crash/resume to identical manifests, exact retry accounting,
-and CRC verification of the shared-memory result arena. Persistent-pool
-specifics ride along: warm reuse with zero pool spawns (the whole point
-of the backend), registry lifecycle (stop, idle reap, status), and the
-shared-memory leak detector for ``run_engine`` exception paths.
+``threads``, ``persistent``, plus the older ``processes`` spelling of
+``persistent`` — so any future execution strategy gets conformance for
+free: bit-identical r² versus the serial oracle, crash/resume to
+identical manifests, exact retry accounting, and CRC verification of
+the shared-memory result arena. Persistent-pool specifics ride along:
+warm reuse with zero pool spawns (the whole point of the backend),
+registry lifecycle (stop, idle reap, status), the shared-memory leak
+detector for ``run_engine`` exception paths, and the arena-slot
+accounting that lets one warm pool outlive failing runs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 
 from repro.core import executors as executors_mod
 from repro.core.engine import (
+    ENGINE_ALIASES,
     ENGINES,
     TileManifest,
     input_fingerprint,
@@ -39,6 +42,9 @@ from repro.observe import MetricsRecorder, SpanProfiler
 
 #: Awkward differential shapes: word-aligned, fringe bits, wide panels.
 CONFORMANCE_SHAPES = [(64, 20), (65, 24), (90, 41), (31, 90)]
+
+#: Every accepted ``engine=`` spelling: the executors and their aliases.
+SPELLINGS = (*ENGINES, *ENGINE_ALIASES)
 
 
 @pytest.fixture(autouse=True)
@@ -88,7 +94,7 @@ class _CrashAfter:
 class TestConformance:
     """The battery every backend must pass identically."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPELLINGS)
     @pytest.mark.parametrize("shape", CONFORMANCE_SHAPES)
     def test_bit_identical_r2_vs_oracle(self, engine, shape):
         # The oracle is an in-process single-threaded run; every other
@@ -106,7 +112,7 @@ class TestConformance:
         tri = np.tril_indices(shape[1])
         np.testing.assert_array_equal(got[tri], oracle[tri])
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPELLINGS)
     def test_crash_resume_to_identical_manifest_and_matrix(
         self, engine, panel, tmp_path
     ):
@@ -141,7 +147,7 @@ class TestConformance:
             np.load(crash_path), np.load(clean_path)
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPELLINGS)
     def test_retry_count_is_exact(self, engine, panel):
         plan = FaultPlan(seed=3, specs=(
             FaultSpec(site="tile_compute", tile=(9, 9), attempts_below=2),
@@ -161,7 +167,7 @@ class TestConformance:
         tri = np.tril_indices(panel.shape[1])
         np.testing.assert_array_equal(got[tri], expected[tri])
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPELLINGS)
     def test_arena_crc_catches_bitflip_and_recomputes(self, engine, panel):
         plan = FaultPlan(seed=5, specs=(
             FaultSpec(site="tile_deliver", tile=(18, 9), attempts_below=1,
@@ -180,7 +186,7 @@ class TestConformance:
         tri = np.tril_indices(panel.shape[1])
         np.testing.assert_array_equal(got[tri], expected[tri])
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPELLINGS)
     def test_exhausted_retries_raise_original_error(self, engine, panel):
         plan = FaultPlan(seed=1, specs=(
             FaultSpec(site="tile_compute", tile=(0, 0)),
@@ -329,9 +335,10 @@ class TestShmLeaks:
         ))
         with pytest.raises(InjectedFault):
             run_engine(
-                panel, lambda *a: None, engine="processes", block_snps=9,
+                panel, lambda *a: None, engine="persistent", block_snps=9,
                 n_workers=2, max_retries=1, retry_backoff=0.0, faults=plan,
             )
+        stop_pools()  # persistent pools legitimately outlive the run
         leaked = _shm_segments() - before
         assert not leaked
 
@@ -348,11 +355,12 @@ class TestShmLeaks:
             raise OSError("injected close failure")
 
         monkeypatch.setattr(_ResultArena, "close", bad_close)
+        run_engine(
+            panel, lambda *a: None, engine="persistent", block_snps=9,
+            n_workers=2,
+        )
         with pytest.raises(OSError, match="injected close failure"):
-            run_engine(
-                panel, lambda *a: None, engine="processes", block_snps=9,
-                n_workers=2,
-            )
+            stop_pools()
         leaked = _shm_segments() - before
         assert not leaked
 
@@ -367,3 +375,44 @@ class TestShmLeaks:
             _ResultArena(n_slots=2, slot_elems=64)
         leaked = _shm_segments() - before
         assert not leaked
+
+
+class TestWarmPoolSlots:
+    """A failing run hands every arena slot back to the warm pool."""
+
+    @pytest.mark.parametrize("failure", ["sink_raises", "retries_exhausted"])
+    def test_failing_runs_leave_every_slot_free(self, panel, failure):
+        n_workers = 2
+        common = dict(
+            engine="persistent", block_snps=9, n_workers=n_workers,
+            retry_backoff=0.0,
+        )
+        expected, cold = _assemble(panel, **common)
+        assert cold.n_pool_spawns == 1
+        pool = next(iter(executors_mod._POOLS.values()))
+        n_slots = pool.arena.n_slots
+
+        def exploding(i0, j0, block):
+            raise RuntimeError("sink failure")
+
+        plan = FaultPlan(seed=1, specs=(
+            FaultSpec(site="tile_compute", tile=(0, 0)),
+        ))
+        # More failing runs than the pool has slots: a leak of one slot
+        # per run would exhaust the arena and hang the next dispatch.
+        for _ in range(2 * n_workers + 3):
+            if failure == "sink_raises":
+                with pytest.raises(RuntimeError, match="sink failure"):
+                    run_engine(panel, exploding, **common)
+            else:
+                with pytest.raises(InjectedFault):
+                    run_engine(
+                        panel, lambda *a: None, max_retries=1,
+                        faults=plan, **common,
+                    )
+            assert len(pool.arena._free) == n_slots
+        got, report = _assemble(panel, **common)
+        assert report.complete and report.n_pool_spawns == 0
+        assert next(iter(executors_mod._POOLS.values())) is pool
+        tri = np.tril_indices(panel.shape[1])
+        np.testing.assert_array_equal(got[tri], expected[tri])

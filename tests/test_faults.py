@@ -21,6 +21,7 @@ from repro.core.engine import (
     input_fingerprint,
     run_engine,
 )
+from repro.core.executors import stop_pools
 from repro.core.ldmatrix import as_bitmatrix, ld_matrix
 from repro.core.streaming import NpyMemmapSink, stream_ld_blocks
 from repro.faults import (
@@ -202,24 +203,21 @@ class TestCorruptionDetection:
             )
         assert recorder.event_count("tile_quarantined") == 1
 
-    def test_without_quarantine_corruption_aborts(self, panel):
+    @pytest.mark.parametrize("entry", ["run_engine", "streaming"])
+    def test_without_quarantine_corruption_aborts(self, panel, entry):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_deliver", action="bitflip", tile=(8, 0)),
         ))
+        sink = _AssemblingSink(panel.shape[1])
         with pytest.raises(TileCorruptionError, match="checksum"):
-            run_engine(
-                panel, _AssemblingSink(panel.shape[1]), engine="serial",
-                block_snps=8, max_retries=1, retry_backoff=0.0, faults=plan,
-            )
-
-    def test_streaming_detects_bitflips_too(self, panel):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="tile_deliver", action="bitflip", tile=(0, 0)),
-        ))
-        with pytest.raises(TileCorruptionError, match="refusing to write"):
-            stream_ld_blocks(
-                panel, lambda *a: None, block_snps=8, faults=plan
-            )
+            if entry == "run_engine":
+                run_engine(
+                    panel, sink, engine="serial", block_snps=8,
+                    max_retries=1, retry_backoff=0.0, faults=plan,
+                )
+            else:
+                stream_ld_blocks(panel, sink, block_snps=8, faults=plan)
+        assert (8, 0) not in sink.calls
 
 
 class TestQuarantineResume:
@@ -281,6 +279,9 @@ class TestWatchdog:
         )
 
     def test_hung_process_worker_is_killed(self, panel):
+        # Cold pool: the single spawn below shows the watchdog replaced
+        # the hung worker in place instead of rebuilding the pool.
+        stop_pools()
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_compute", action="delay", tile=(8, 0),
                       attempts_below=1, delay_seconds=30.0),
@@ -288,13 +289,14 @@ class TestWatchdog:
         sink = _AssemblingSink(panel.shape[1])
         recorder = MetricsRecorder(keep_events=True)
         report = run_engine(
-            panel, sink, engine="processes", block_snps=8, n_workers=2,
+            panel, sink, engine="persistent", block_snps=8, n_workers=2,
             max_retries=2, retry_backoff=0.0, tile_timeout=0.5,
             faults=plan, recorder=recorder,
         )
         assert report.complete
         assert recorder.counters["engine.timeouts"] >= 1
-        assert recorder.counters["engine.pool_restarts"] >= 1
+        assert recorder.counters["engine.worker_respawns"] >= 1
+        assert report.n_pool_spawns == 1
         np.testing.assert_array_equal(
             _lower(panel, sink.matrix), _lower(panel, ld_matrix(panel))
         )
@@ -302,6 +304,9 @@ class TestWatchdog:
 
 class TestDegradation:
     def test_processes_degrade_to_threads_when_pool_cannot_spawn(self, panel):
+        # The pool_spawn site fires only when a pool is built, so start
+        # cold; the "processes" spelling resolves to the warm pool.
+        stop_pools()
         plan = FaultPlan(specs=(
             FaultSpec(site="pool_spawn"),
         ))
@@ -312,19 +317,19 @@ class TestDegradation:
             max_retries=1, retry_backoff=0.0, faults=plan, recorder=recorder,
         )
         assert report.complete
-        assert report.engine == "processes"
+        assert report.engine == "persistent"
         assert report.engine_used == "threads"
         assert report.degraded
         assert recorder.counters["engine.degradations"] == 1
         assert recorder.counters["engine.spawn_failures"] >= 1
         events = [e for e in recorder.events if e["kind"] == "executor_degraded"]
-        assert events and events[0]["from_engine"] == "processes"
+        assert events and events[0]["from_engine"] == "persistent"
         assert events[0]["to_engine"] == "threads"
         np.testing.assert_array_equal(
             _lower(panel, sink.matrix), _lower(panel, ld_matrix(panel))
         )
 
-    def test_worker_kill_within_budget_rebuilds_the_pool(self, panel):
+    def test_worker_kill_within_budget_respawns_the_worker(self, panel):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_compute", action="kill", attempts_below=1,
                       tile=(8, 0)),
@@ -332,12 +337,13 @@ class TestDegradation:
         sink = _AssemblingSink(panel.shape[1])
         recorder = MetricsRecorder(keep_events=True)
         report = run_engine(
-            panel, sink, engine="processes", block_snps=8, n_workers=2,
+            panel, sink, engine="persistent", block_snps=8, n_workers=2,
             max_retries=2, retry_backoff=0.0, faults=plan, recorder=recorder,
         )
         assert report.complete
         assert not report.degraded
-        assert recorder.counters["engine.pool_restarts"] >= 1
+        assert report.n_worker_respawns >= 1
+        assert recorder.counters["engine.worker_respawns"] >= 1
         np.testing.assert_array_equal(
             _lower(panel, sink.matrix), _lower(panel, ld_matrix(panel))
         )

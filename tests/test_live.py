@@ -61,13 +61,11 @@ class TestLivePublisher:
         pub.begin(n_tiles=2, pairs_total=20)
         pub.tile_retry()
         pub.tile_quarantined()
-        pub.pool_restart()
         pub.worker_respawn(1)
         pub.publish()
         snapshot = read_snapshot(pub.path)
         assert snapshot["retries"] == 1
         assert snapshot["tiles"]["quarantined"] == 1
-        assert snapshot["pool_restarts"] == 1
         assert snapshot["worker_respawns"] == 1
         assert snapshot["recent_respawns"][0]["worker"] == 1
 

@@ -59,7 +59,7 @@ class TestCatalog:
         # Spot checks: one of each family must be present.
         for expected in (
             "engine.tiles_computed", "engine.run_seconds", "gemm.calls",
-            "prefetch.bytes_read", "stream.tiles_computed",
+            "prefetch.bytes_read",
             "phase.worker.idle", "events.<kind>", "phase.<span>",
             "tile_computed", "worker_respawn", "pack_a", "driver.wait",
         ):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import enumerate_tiles, run_engine
+from repro.core.executors import stop_pools
 from repro.core.gemm import popcount_gemm, popcount_gram
 from repro.core.streaming import stream_ld_blocks
 from repro.faults import FaultPlan, FaultSpec
@@ -353,12 +354,9 @@ class TestStreamingRecorder:
             recorder=rec, progress=progress,
         )
         assert rec.event_count("tile_computed") == n_blocks
-        assert rec.counters["stream.tiles_computed"] == n_blocks
-        assert rec.timers["stream.tile_compute_seconds"].count == n_blocks
-        assert all(
-            e["worker"] == "driver"
-            for e in rec.events if e["kind"] == "tile_computed"
-        )
+        assert rec.counters["engine.tiles_computed"] == n_blocks
+        assert rec.timers["engine.tile_compute_seconds"].count == n_blocks
+        assert rec.event_count("run_start") == rec.event_count("run_end") == 1
         assert progress.tiles_done == n_blocks
         assert buf.getvalue().count("\r") == n_blocks
 
@@ -479,28 +477,11 @@ class TestFaultEventTrace:
                 kinds.count(kind)
             )
 
-    def test_pool_restart_reaches_trace_and_payload(self, panel, tmp_path):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="tile_compute", action="kill",
-                      attempts_below=1, tile=(8, 0)),
-        ))
-        report, recorder, lines = self._run(
-            panel, tmp_path / "trace.jsonl", engine="processes",
-            faults=plan,
-        )
-        assert report.complete
-        kinds = [l["kind"] for l in lines]
-        assert "pool_restart" in kinds
-        assert recorder.counters["engine.pool_restarts"] >= 1
-        payload = recorder.summary()
-        assert payload["counters"]["events.pool_restart"] == (
-            kinds.count("pool_restart")
-        )
-
     def test_degradation_reaches_trace_and_payload(self, panel, tmp_path):
+        stop_pools()  # the pool_spawn site fires only when a pool is built
         plan = FaultPlan(specs=(FaultSpec(site="pool_spawn"),))
         report, recorder, lines = self._run(
-            panel, tmp_path / "trace.jsonl", engine="processes",
+            panel, tmp_path / "trace.jsonl", engine="persistent",
             faults=plan,
         )
         assert report.complete and report.engine_used == "threads"
@@ -510,7 +491,7 @@ class TestFaultEventTrace:
         degraded = next(
             l for l in lines if l["kind"] == "executor_degraded"
         )
-        assert degraded["from_engine"] == "processes"
+        assert degraded["from_engine"] == "persistent"
         assert degraded["to_engine"] == "threads"
         payload = recorder.summary()
         assert payload["counters"]["engine.degradations"] == 1
