@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +41,7 @@ from repro.analysis.ldprune import ld_prune
 from repro.analysis.sweeps import sweep_scan
 from repro.core.banding import BandSpec, dense_pair_cells
 from repro.core.blocking import DEFAULT_BLOCKING
-from repro.core.engine import (
-    ENGINE_ALIASES,
-    ENGINES,
-    enumerate_tiles,
-    run_engine,
-)
+from repro.core.engine import ENGINE_ALIASES, ENGINES, run_engine
 from repro.core.gemm import DEFAULT_KERNEL, GEMM_KERNELS
 from repro.faults import FaultPlan
 from repro.core.ldmatrix import as_bitmatrix, ld_matrix
@@ -56,6 +52,7 @@ from repro.observe import (
     ProgressReporter,
     SpanProfiler,
     compare_to_model,
+    profiling,
 )
 from repro.core.windowed import banded_ld
 from repro.encoding.bitmatrix import BitMatrix
@@ -241,23 +238,25 @@ def _cmd_ld_engine(
         except ValueError as exc:
             raise SystemExit(str(exc))
 
+    from repro.observe.live import LivePublisher, new_run_id
+
     live_path = args.live or os.environ.get("REPRO_LIVE") or None
-    recorder: MetricsRecorder | None = None
-    if args.metrics_out or args.trace_out or args.profile_out or live_path:
-        trace = JsonlTraceSink(args.trace_out) if args.trace_out else None
-        # The profile's worker timeline is reconstructed from retained
-        # tile_computed events, so --profile-out implies keep_events.
-        # --live rides on a recorder too: the snapshot pulls prefetch
-        # and phase state from it at publish time.
-        recorder = MetricsRecorder(
-            trace=trace, keep_events=bool(args.profile_out)
-        )
+    run_id = new_run_id()
+    # One recorder per run: the metrics artifact, the registry record and
+    # every sink below count the same events. The profile's worker
+    # timeline is reconstructed from retained tile_computed events, so
+    # --profile-out implies keep_events.
+    recorder = MetricsRecorder(keep_events=bool(args.profile_out))
+    if args.trace_out:
+        recorder.sinks.append(JsonlTraceSink(args.trace_out))
+    if args.progress:
+        recorder.sinks.append(ProgressReporter(label="ld"))
     live = None
     if live_path:
-        from repro.observe.live import LivePublisher
-
         live = LivePublisher(
             Path(live_path),
+            recorder=recorder,
+            run_id=run_id,
             config={
                 "engine": args.engine,
                 "workers": args.workers,
@@ -269,21 +268,9 @@ def _cmd_ld_engine(
                 "band": band.describe() if band is not None else None,
                 "memory_budget": args.memory_budget,
             },
-            recorder=recorder,
         )
-    profiler: SpanProfiler | None = None
-    if args.profile_out:
-        profiler = SpanProfiler()
-    progress: ProgressReporter | None = None
-    if args.progress:
-        # Banded totals: the ETA must count the pairs the run actually
-        # delivers, not the dense triangle.
-        tiles = enumerate_tiles(panel.n_snps, args.block_snps, band=band)
-        if band is not None:
-            pairs_total = sum(band.pairs_in(t) for t in tiles)
-        else:
-            pairs_total = sum(t.n_pairs for t in tiles)
-        progress = ProgressReporter(len(tiles), pairs_total, label="ld")
+        recorder.sinks.append(live)
+    profiler = SpanProfiler() if args.profile_out else None
 
     band_width = band.index_width(panel.n_snps) if band is not None else 0
     start = time.perf_counter()
@@ -292,7 +279,9 @@ def _cmd_ld_engine(
             sink_cm = BandedNpySink(out, panel.n_snps, band_width, mode=mode)
         else:
             sink_cm = NpyMemmapSink(out, panel.n_snps, mode=mode)
-        with sink_cm as sink:
+        with sink_cm as sink, (
+            profiling(profiler) if profiler is not None else nullcontext()
+        ):
             report = run_engine(
                 data, sink,
                 stat=args.stat,
@@ -310,20 +299,16 @@ def _cmd_ld_engine(
                 allow_quarantine=args.allow_quarantine,
                 faults=faults,
                 recorder=recorder,
-                progress=progress,
-                profiler=profiler,
-                live=live,
             )
     finally:
-        if progress is not None:
-            progress.close()
-        if recorder is not None:
-            recorder.close()
+        # Closing the sinks also covers a run that raised: the live
+        # snapshot then ends at phase "failed" instead of "running".
+        recorder.close()
     wall = time.perf_counter() - start
 
     _append_run_record(
         args, panel, report, recorder, wall,
-        band=band, live=live, live_path=live_path, out=out,
+        run_id=run_id, band=band, live=live, live_path=live_path, out=out,
         manifest=manifest,
     )
     if args.metrics_out:
@@ -362,9 +347,10 @@ def _append_run_record(
     args: argparse.Namespace,
     panel: BitMatrix,
     report,
-    recorder: MetricsRecorder | None,
+    recorder: MetricsRecorder,
     wall_seconds: float,
     *,
+    run_id: str,
     band: BandSpec | None,
     live,
     live_path: str | None,
@@ -379,24 +365,11 @@ def _append_run_record(
     """
     import socket
 
-    from repro.observe.live import new_run_id
     from repro.observe.registry import (
         RUN_SCHEMA, append_run, shape_fingerprint,
     )
 
-    if recorder is not None:
-        pairs_computed = recorder.counters.get("engine.pairs_computed", 0)
-    else:
-        # No recorder: estimate delivered pairs from the tile counts (the
-        # exact counter only exists on instrumented runs).
-        total = (
-            report.band_pairs if band is not None
-            else dense_pair_cells(panel.n_snps, args.block_snps)
-        )
-        pairs_computed = (
-            round(total * report.n_computed / report.n_tiles)
-            if report.n_tiles else 0
-        )
+    pairs_computed = recorder.counters.get("engine.pairs_computed", 0)
     percent_of_peak = None
     if (band is None and report.n_computed == report.n_tiles
             and wall_seconds > 0):
@@ -407,7 +380,7 @@ def _append_run_record(
     band_desc = band.describe() if band is not None else None
     record = {
         "schema": RUN_SCHEMA,
-        "run_id": live.run_id if live is not None else new_run_id(),
+        "run_id": run_id,
         "timestamp_unix": time.time(),
         "host": socket.gethostname(),
         "fingerprint": shape_fingerprint(
@@ -807,7 +780,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             else Path(tmp) / "ld.npy"
         )
         start = time.perf_counter()
-        with NpyMemmapSink(matrix_out, panel.n_snps) as sink:
+        with NpyMemmapSink(matrix_out, panel.n_snps) as sink, \
+                profiling(profiler):
             report = run_engine(
                 panel, sink,
                 stat=args.stat,
@@ -816,8 +790,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 n_workers=args.workers,
                 manifest_path=Path(tmp) / "ld.npy.manifest",
                 recorder=recorder,
-                progress=None,
-                profiler=profiler,
             )
         wall = time.perf_counter() - start
     workload = _workload_dict(args, panel)

@@ -62,18 +62,11 @@ from repro.core.ldmatrix import as_bitmatrix
 from repro.core.stats import r_squared_matrix
 from repro.encoding.bitmatrix import BitMatrix
 from repro.faults import FaultPlan, InjectedCrash
-from repro.observe.spans import (
-    SpanProfiler,
-    current_profiler,
-    install_profiler,
-    span,
-)
+from repro.observe.spans import current_profiler, span
 
-if TYPE_CHECKING:  # recorder/progress typing only (observe.metrics pulls in
-    # nothing from core; spans resolves eagerly above without a cycle)
-    from repro.observe.live import LivePublisher
+if TYPE_CHECKING:  # recorder typing only (observe.metrics pulls in nothing
+    # from core; spans resolves eagerly above without a cycle)
     from repro.observe.metrics import MetricsRecorder
-    from repro.observe.progress import ProgressReporter
 
 __all__ = [
     "ENGINES",
@@ -189,16 +182,12 @@ def compute_tile(
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
     undefined: float = np.nan,
-    recorder: "MetricsRecorder | None" = None,
 ) -> np.ndarray:
     """Compute one statistic block from the packed words (pure function).
 
     This is the whole per-tile work unit — one rectangular popcount GEMM
     plus the elementwise statistic — factored out so the serial loop,
-    thread workers, and pool workers run byte-identical code. An
-    optional *recorder* is forwarded to the blocked GEMM driver
-    (in-process callers only; pool workers compute without one and their
-    timings travel back in :class:`TileResult`).
+    thread workers, and pool workers run byte-identical code.
     """
     if stat not in _ENGINE_STATS:
         raise ValueError(f"unknown LD statistic {stat!r}; choose r2/D/H")
@@ -207,7 +196,6 @@ def compute_tile(
         words[tile.j0 : tile.j1],
         params=params,
         kernel=kernel,
-        recorder=recorder,
     )
     # Divide (rather than multiply by a reciprocal) so tiles are
     # bit-identical to the in-memory pipeline's H = counts / N.
@@ -587,9 +575,6 @@ def run_engine(
     allow_quarantine: bool = False,
     faults: FaultPlan | None = None,
     recorder: "MetricsRecorder | None" = None,
-    progress: "ProgressReporter | None" = None,
-    profiler: SpanProfiler | None = None,
-    live: "LivePublisher | None" = None,
 ) -> EngineReport:
     """Compute the lower-triangle LD matrix tile by tile into *sink*.
 
@@ -679,41 +664,29 @@ def run_engine(
         ``manifest_append`` / ``pool_spawn`` sites. ``None`` (default)
         costs one pointer comparison per site.
     recorder:
-        Optional :class:`repro.observe.MetricsRecorder`. When set, the
-        run emits structured events — ``run_start``, one
-        ``tile_computed`` per delivered tile (tile key, compute seconds,
-        deliver/flush seconds, bytes written, worker id), one
+        Optional :class:`repro.observe.MetricsRecorder`, the run's one
+        telemetry stream. When set, the run emits structured events —
+        ``run_start`` (with the run's ``n_tiles`` and ``pairs_total``),
+        one ``tile_computed`` per delivered tile (tile key, compute
+        seconds, deliver/flush seconds, bytes written, worker id), one
         ``tile_skipped`` per journaled tile honoured on resume,
         ``tile_retry`` / ``worker_respawn`` per recovery action plus
         ``tile_corrupt`` / ``tile_timeout`` / ``tile_quarantined`` /
         ``pool_spawn_failed`` / ``executor_degraded`` for the hardened
         paths, and ``run_end`` — plus matching ``engine.*`` counters and
-        timers. The default ``None`` costs one pointer comparison per
-        tile.
-    progress:
-        Optional :class:`repro.observe.ProgressReporter`; advanced once
-        per delivered or skipped tile by that tile's pair count.
-    profiler:
-        Optional :class:`repro.observe.SpanProfiler`. When set, it is
-        installed as the active profiler for the duration of the run
-        (restored afterwards): driver phases (``driver.dispatch``,
-        ``driver.wait``, ``driver.deliver``, ``driver.manifest_append``,
-        ``driver.backoff``) record into it directly, in-process tiles
-        record their GEMM phase spans into it per thread, and
-        pool workers install their own profiler and ship each
-        tile's phase breakdown back in ``TileResult.phase_seconds``
-        (surfacing as ``phase.*`` timers and the ``phases`` field of
-        ``tile_computed`` events when a recorder is attached). The
-        default ``None`` leaves the no-op profiler active.
-    live:
-        Optional :class:`repro.observe.live.LivePublisher`. When set,
-        the run publishes a crash-safe ``repro-live/1`` status snapshot
-        (atomic tmp-rename) on a throttled cadence from the generic
-        drive loop — tile/pair progress, per-worker heartbeats,
-        retries/respawns, prefetch state, live anomaly flags — which
-        ``repro top`` and ``repro export --prometheus`` consume while
-        the run is still in flight. The default ``None`` costs one
-        pointer comparison per hook, same as *recorder*.
+        timers (``docs/METRICS.md`` lists every field). The progress
+        line, the JSONL trace and the ``repro-live/1`` snapshot are
+        sinks of the recorder. The default ``None`` costs one pointer
+        comparison per tile.
+
+    Span profiling follows the active profiler: run the engine inside
+    ``with repro.observe.profiling(profiler):`` and the driver phases
+    (``driver.dispatch``, ``driver.wait``, ``driver.deliver``,
+    ``driver.manifest_append``, ``driver.backoff``) and in-process tile
+    phases record into it, while pool workers install their own
+    profiler and ship each tile's phase breakdown back in
+    ``TileResult.phase_seconds`` (the ``phase.*`` timers and the
+    ``phases`` field of ``tile_computed`` events).
 
     Returns
     -------
@@ -821,9 +794,6 @@ def run_engine(
                 band=band_spec,
             )
         manifest = TileManifest.open(manifest_path, fingerprint, resume=resume)
-    previous_profiler = (
-        install_profiler(profiler) if profiler is not None else None
-    )
     run_start = time.perf_counter()
     try:
         if manifest is not None and manifest.completed:
@@ -845,12 +815,6 @@ def run_engine(
         quarantined: list[tuple[TileTask, str]] = []
         done_keys: set[tuple[int, int]] = set()
 
-        if live is not None:
-            live.begin(
-                n_tiles=len(tiles),
-                pairs_total=sum(tile_pairs(t) for t in tiles),
-                n_pruned=n_pruned,
-            )
         if recorder is not None:
             band_extra = {}
             if band_spec is not None:
@@ -871,26 +835,20 @@ def run_engine(
                 block_snps=block_snps,
                 n_tiles=len(tiles),
                 n_todo=len(todo),
+                pairs_total=sum(tile_pairs(t) for t in tiles),
                 **band_extra,
             )
-        if (
-            recorder is not None or progress is not None or live is not None
-        ) and n_skipped:
-            for tile in tiles:
-                if tile.key in manifest.completed:
-                    pairs = tile_pairs(tile)
-                    if recorder is not None:
-                        recorder.inc("engine.tiles_skipped")
-                        recorder.inc("engine.pairs_skipped", pairs)
-                        recorder.event(
-                            "tile_skipped",
-                            tile=[tile.i0, tile.j0],
-                            pairs=pairs,
-                        )
-                    if progress is not None:
-                        progress.advance(pairs, skipped=True)
-                    if live is not None:
-                        live.tile_skipped(pairs)
+            skipped = (
+                [t for t in tiles if t.key in manifest.completed]
+                if n_skipped else []
+            )
+            for tile in skipped:
+                pairs = tile_pairs(tile)
+                recorder.inc("engine.tiles_skipped")
+                recorder.inc("engine.pairs_skipped", pairs)
+                recorder.event(
+                    "tile_skipped", tile=[tile.i0, tile.j0], pairs=pairs
+                )
 
         def deliver(tile: TileTask, result: TileResult) -> None:
             nonlocal n_computed
@@ -955,14 +913,6 @@ def run_engine(
                     worker=result.worker,
                     **extra,
                 )
-            if progress is not None:
-                progress.advance(tile_pairs(tile))
-            if live is not None:
-                live.tile_done(
-                    worker=result.worker,
-                    pairs=tile_pairs(tile),
-                    compute_s=result.compute_seconds,
-                )
 
         def quarantine_tile(tile: TileTask, error: BaseException) -> None:
             quarantined.append((tile, repr(error)))
@@ -976,8 +926,6 @@ def run_engine(
                     tile=[tile.i0, tile.j0],
                     error=repr(error),
                 )
-            if live is not None:
-                live.tile_quarantined()
 
         ctx = _ex.RetryContext(
             max_retries=max_retries,
@@ -988,7 +936,6 @@ def run_engine(
             deliver=deliver,
             quarantine=quarantine_tile,
             recorder=recorder,
-            live=live,
         )
 
         def local_task(tile: TileTask, epoch: int) -> TileResult:
@@ -1193,8 +1140,6 @@ def run_engine(
                 current = fallback
                 work = [t for t in work if t.key not in done_keys]
     finally:
-        if profiler is not None:
-            install_profiler(previous_profiler)
         if manifest is not None:
             manifest.close()
         if store is not None and store is not data:
@@ -1202,8 +1147,6 @@ def run_engine(
             # PanelStore instances stay open (the caller owns them).
             store.close()
 
-    if live is not None:
-        live.finish()
     if recorder is not None:
         run_seconds = time.perf_counter() - run_start
         recorder.observe_time("engine.run_seconds", run_seconds)

@@ -78,7 +78,6 @@ from repro.observe.spans import (
 )
 
 if TYPE_CHECKING:
-    from repro.observe.live import LivePublisher
     from repro.observe.metrics import MetricsRecorder
 
 __all__ = [
@@ -509,7 +508,6 @@ class RetryContext:
     deliver: Callable[[TileTask, TileResult], None]
     quarantine: Callable[[TileTask, BaseException], None]
     recorder: "MetricsRecorder | None" = None
-    live: "LivePublisher | None" = None
 
     def verify(self, tile: TileTask, result: TileResult) -> None:
         """Check the payload CRC taken in the worker; raise on mismatch."""
@@ -534,8 +532,6 @@ class RetryContext:
         return base * (0.5 + jitter)
 
     def note_failure(self, tile: TileTask, error: BaseException) -> None:
-        if self.live is not None:
-            self.live.tile_retry()
         if self.recorder is None:
             return
         self.recorder.inc("engine.retries")
@@ -563,8 +559,6 @@ class RetryContext:
             self.recorder.event("pool_spawn", backend=backend)
 
     def note_worker_respawn(self, worker: int) -> None:
-        if self.live is not None:
-            self.live.worker_respawn(worker)
         if self.recorder is not None:
             self.recorder.inc("engine.worker_respawns")
             self.recorder.event("worker_respawn", worker=worker)
@@ -1825,8 +1819,6 @@ def drive(
                             pending.discard(tile)
                     backend.release(drained.popleft().handle)
                     pump()
-                if ctx.live is not None:
-                    ctx.live.maybe_publish()
         finally:
             # A raising sink, an exhausted retry or an injected crash
             # skips the releases above; a warm pool outlives the run, so

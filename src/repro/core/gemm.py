@@ -43,9 +43,7 @@ the kernels, producing the exact instruction/traffic counts the machine model
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,10 +57,6 @@ from repro.core.macrokernel import (
 from repro.core.microkernel import MICRO_KERNELS
 from repro.core.packing import pack_block_a, pack_panel_b
 from repro.observe.spans import span
-
-if TYPE_CHECKING:  # recorder typing only; spans above resolve lazily in
-    # repro.observe.__init__, so no modelcheck→gemm import cycle forms
-    from repro.observe.metrics import MetricsRecorder
 
 __all__ = [
     "DEFAULT_KERNEL",
@@ -224,7 +218,6 @@ def popcount_gemm(
     *,
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
-    recorder: "MetricsRecorder | None" = None,
     workspace: GemmWorkspace | None = None,
 ) -> np.ndarray:
     """All-pairs popcount inner products via the blocked GotoBLAS nest.
@@ -241,11 +234,6 @@ def popcount_gemm(
         One of :data:`GEMM_KERNELS` — ``"fused"`` (bit-plane BLAS macro,
         default), ``"fused-popcount"``, ``"numpy"``, or ``"scalar"``. All
         produce bit-identical results.
-    recorder:
-        Optional :class:`repro.observe.MetricsRecorder`; when set, the
-        call emits one ``gemm`` event (shape, kernel, seconds) and
-        accumulates ``gemm.*`` counters/timers, including workspace
-        allocation/reuse deltas. ``None`` costs a single comparison.
     workspace:
         Scratch pools to carve from; ``None`` uses the calling thread's
         persistent :func:`~repro.core.macrokernel.shared_workspace`.
@@ -255,51 +243,14 @@ def popcount_gemm(
     ``(m, n)`` ``int64`` matrix of shared-derived-allele counts
     ``C[i, j] = s_iᵀ s_j``.
     """
-    m, n, k = _check_operands(a_words, b_words)
+    m, n, _ = _check_operands(a_words, b_words)
     _check_kernel(kernel)
     params = resolve_blocking(params, kernel)
     ws = shared_workspace() if workspace is None else workspace
-    start = time.perf_counter() if recorder is not None else 0.0
-    allocs0, reuses0 = ws.n_allocations, ws.n_reuses
     with span("gemm"):  # parent span; self-time = driver overhead
         c = np.zeros((m, n), dtype=np.int64)
-        tile_visits = _run_kernel(
-            a_words, b_words, c, params, kernel, ws, symmetric=False
-        )
-    if recorder is not None:
-        _record_gemm_call(
-            recorder, "gemm", m, n, k, kernel, start, ws, allocs0, reuses0,
-            tile_visits,
-        )
+        _run_kernel(a_words, b_words, c, params, kernel, ws, symmetric=False)
     return c
-
-
-def _record_gemm_call(
-    recorder: "MetricsRecorder",
-    name: str,
-    m: int,
-    n: int,
-    k: int,
-    kernel: str,
-    start: float,
-    workspace: GemmWorkspace | None = None,
-    allocs0: int = 0,
-    reuses0: int = 0,
-    tile_visits: int = 0,
-) -> None:
-    """Aggregate one blocked-driver invocation into *recorder*."""
-    seconds = time.perf_counter() - start
-    recorder.inc(f"{name}.calls")
-    recorder.inc(f"{name}.word_ops", 3 * m * n * k)
-    recorder.observe_time(f"{name}.seconds", seconds)
-    if workspace is not None:
-        recorder.inc(
-            f"{name}.workspace_allocations", workspace.n_allocations - allocs0
-        )
-        recorder.inc(f"{name}.workspace_reuses", workspace.n_reuses - reuses0)
-    if tile_visits:
-        recorder.inc(f"{name}.tile_visits", tile_visits)
-    recorder.event(name, m=m, n=n, k=k, kernel=kernel, seconds=seconds)
 
 
 def popcount_gram(
@@ -307,7 +258,6 @@ def popcount_gram(
     *,
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
-    recorder: "MetricsRecorder | None" = None,
     workspace: GemmWorkspace | None = None,
 ) -> np.ndarray:
     """Symmetric case ``C = A Aᵀ`` (the ``GᵀG`` of Equation 5).
@@ -316,29 +266,19 @@ def popcount_gram(
     lower triangle in place afterwards — the N(N+1)/2 pairwise-count
     traversal the paper reports for the GEMM implementation (Section VI),
     without the two full ``m × m`` temporaries the old ``np.tril`` mirror
-    allocated. *recorder* behaves as in :func:`popcount_gemm`, emitting
-    ``gram`` events/counters.
+    allocated.
     """
     from repro.core.macrokernel import mirror_lower_inplace
 
     a_words = np.asarray(a_words)
-    m, _, k = _check_operands(a_words, a_words)
+    m, _, _ = _check_operands(a_words, a_words)
     _check_kernel(kernel)
     params = resolve_blocking(params, kernel)
     ws = shared_workspace() if workspace is None else workspace
-    start = time.perf_counter() if recorder is not None else 0.0
-    allocs0, reuses0 = ws.n_allocations, ws.n_reuses
     with span("gram"):  # parent span; self-time = driver overhead
         c = np.zeros((m, m), dtype=np.int64)
-        tile_visits = _run_kernel(
-            a_words, a_words, c, params, kernel, ws, symmetric=True
-        )
+        _run_kernel(a_words, a_words, c, params, kernel, ws, symmetric=True)
         mirror_lower_inplace(c)
-    if recorder is not None:
-        _record_gemm_call(
-            recorder, "gram", m, m, k, kernel, start, ws, allocs0, reuses0,
-            tile_visits,
-        )
     return c
 
 
@@ -420,9 +360,9 @@ def gemm_operation_counts(
 
     Mirrors the popcount drivers block for block (including fringe padding
     and the symmetric block- and tile-skipping rules) without touching
-    data — ``kernel_calls`` equals the ``*.tile_visits`` counter the
-    restructured drivers record (one visit per micro-tile per pc chunk),
-    and tests pin that equivalence against the executing driver.
+    data — ``kernel_calls`` equals the tile visits the executing driver
+    (``_run_kernel``) returns (one visit per micro-tile per pc chunk),
+    and tests pin that equivalence.
 
     The walk is closed-form over the pc loop and the ir sliver loop (their
     contributions are arithmetic in the loop bounds), so paper-scale shapes

@@ -226,7 +226,9 @@ def ld_pairs(
     if stat == "r2":
         denom = p * q * (1.0 - p) * (1.0 - q)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(denom > 0.0, d * d / denom, undefined)
+            ratio = d * d / denom
+        np.minimum(ratio, 1.0, out=ratio)  # linked pairs round to 1 + ulps
+        return np.where(denom > 0.0, ratio, undefined)
     if stat == "Dprime":
         pos_max = np.minimum(p * (1.0 - q), (1.0 - p) * q)
         neg_max = np.minimum(p * q, (1.0 - p) * (1.0 - q))

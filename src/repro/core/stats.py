@@ -91,13 +91,17 @@ def r_squared_matrix(
         Value for pairs whose denominator is zero (a monomorphic SNP on
         either side). NaN marks the statistic undefined; pass ``0.0`` for
         PLINK-compatible behaviour.
+
+    Defined entries lie in [0, 1]: perfectly linked pairs (the diagonal
+    above all) would otherwise round to 1 plus a few ulps.
     """
     h, p, q = _check_freqs(h, p, q)
     d = h - np.outer(p, q)
     denom = np.outer(p * (1.0 - p), q * (1.0 - q))
     with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(denom > 0.0, (d * d) / denom, undefined)
-    return r2
+        ratio = (d * d) / denom
+    np.minimum(ratio, 1.0, out=ratio)
+    return np.where(denom > 0.0, ratio, undefined)
 
 
 def r_squared_adjusted(

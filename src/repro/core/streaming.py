@@ -39,7 +39,6 @@ from repro.observe.spans import span
 
 if TYPE_CHECKING:  # imported lazily to keep core free of observe at runtime
     from repro.observe.metrics import MetricsRecorder
-    from repro.observe.progress import ProgressReporter
 
 __all__ = [
     "BandedNpySink",
@@ -345,7 +344,6 @@ def stream_ld_blocks(
     memory_budget: int | None = None,
     faults: FaultPlan | None = None,
     recorder: "MetricsRecorder | None" = None,
-    progress: "ProgressReporter | None" = None,
 ) -> int:
     """Stream the lower-triangle LD matrix through *sink* block by block.
 
@@ -386,11 +384,10 @@ def stream_ld_blocks(
     recorder:
         Optional :class:`repro.observe.MetricsRecorder`; receives the
         engine's ``run_start`` / ``tile_computed`` / ``run_end`` events
-        and ``engine.*`` counters. ``None`` (the default) costs one
-        comparison per block.
-    progress:
-        Optional :class:`repro.observe.ProgressReporter`, advanced per
-        delivered block.
+        and ``engine.*`` counters, and forwards the events to its sinks
+        (a :class:`repro.observe.ProgressReporter` among them for a
+        progress line). ``None`` (the default) costs one comparison per
+        block.
     """
     report = run_engine(
         data,
@@ -406,6 +403,5 @@ def stream_ld_blocks(
         memory_budget=memory_budget,
         faults=faults,
         recorder=recorder,
-        progress=progress,
     )
     return report.n_computed

@@ -5,19 +5,25 @@ literature (Fabregat-Traver & Bientinesi's petaflops-over-terabytes
 pipelines, Beyer & Bientinesi's HDD→GPU streaming) is unambiguous that
 multi-stage pipelines live or die on per-stage instrumentation of
 compute vs. delivery overlap. This package is that instrumentation
-layer, threaded through :func:`repro.core.engine.run_engine`,
-:func:`repro.core.streaming.stream_ld_blocks`, and the blocked
-:func:`repro.core.gemm.popcount_gemm` drivers:
+layer. :func:`repro.core.engine.run_engine` (and
+:func:`repro.core.streaming.stream_ld_blocks` through it) takes one
+telemetry object, a :class:`MetricsRecorder`; everything else either
+is a sink of its event stream or follows the active span profiler:
 
 - :class:`MetricsRecorder` — counters, timers, histograms, and
-  structured per-tile events, with a zero-cost disabled default;
-- :class:`JsonlTraceSink` — streaming JSON-lines event trace
+  structured per-tile events, with a zero-cost disabled default; it
+  hands every event to its ``sinks``;
+- :class:`JsonlTraceSink` — sink: streaming JSON-lines event trace
   (``repro-trace/1``: schema-tagged, monotonic ``seq``) for post-hoc
   analysis;
-- :class:`ProgressReporter` — live tiles/s, pairs/s, and ETA;
+- :class:`ProgressReporter` — sink: live tiles/s, pairs/s, and ETA;
+- :class:`repro.observe.live.LivePublisher` — sink: the crash-safe
+  ``repro-live/1`` snapshot behind ``repro top`` and the Prometheus
+  exporter;
 - :class:`SpanProfiler` — hierarchical phase spans (pack-A, pack-B,
   plane-matmul, mirror, driver dispatch/deliver, ...) with self-time
-  attribution, a no-op singleton when disabled;
+  attribution, installed around a run with :func:`profiling`; a no-op
+  singleton when disabled;
 - :func:`compare_to_model` / :func:`compare_phases_to_model` — measured
   throughput (aggregate, and per phase) placed against
   :mod:`repro.machine.perfmodel`'s prediction, reproducing the paper's

@@ -9,19 +9,23 @@ minute 3 must say so at minute 3, not in the post-mortem).
 
 The design is a single-writer status file, not a socket:
 
-- :class:`LivePublisher` holds the run's mutable state (tile/pair
-  progress, per-worker heartbeats, respawn/retry accounting) fed by the
-  engine's delivery hooks, and serializes it as one versioned JSON blob
+- :class:`LivePublisher` is a sink of the run's
+  :class:`~repro.observe.metrics.MetricsRecorder`. It reads tile, pair,
+  retry and respawn totals from the recorder's ``engine.*`` counters,
+  takes the run totals, per-worker heartbeats and the respawn log from
+  the events, and serializes it all as one versioned JSON blob
   (``repro-live/1``) on a throttled cadence (~2 Hz by default).
 - Every publish is an **atomic replace**: the blob is written to a
   sibling temp file and ``os.replace``-d over the target, so a reader
   polling concurrently — ``repro top``, the Prometheus exporter, a
   human with ``watch cat`` — always sees a complete JSON document,
   never a torn write. A crash leaves the last good snapshot behind.
-- Disabled is free: the engine guards every hook with
-  ``if live is not None`` (the same discipline as ``recorder`` and
-  ``NULL_PROFILER``), so a run without ``--live`` pays one pointer
-  comparison per tile.
+- Disabled is free: a run without ``--live`` attaches no publisher, and
+  a run without any recorder pays the engine's one ``recorder is not
+  None`` comparison per tile.
+- A run that raises never emits ``run_end``; closing the recorder then
+  publishes a final snapshot with ``phase: "failed"``, so ``repro top``
+  and the exporter never show a dead run as running.
 
 Reader-side helpers live here too: :func:`read_snapshot` (tolerant
 load), :func:`render_top` (the ``repro top`` terminal dashboard with
@@ -82,10 +86,20 @@ def new_run_id() -> str:
 class LivePublisher:
     """Single-writer publisher of the ``repro-live/1`` snapshot file.
 
+    A sink of one run's recorder, attached with
+    ``recorder.sinks.append(publisher)``; events arrive on the driver
+    thread only.
+
     Parameters
     ----------
     path:
         Snapshot target. Each publish atomically replaces it.
+    recorder:
+        The :class:`~repro.observe.metrics.MetricsRecorder` this
+        publisher is a sink of. Its ``engine.*`` counters give the
+        snapshot's tile, pair, retry and respawn totals, and its
+        prefetch/phase state feeds the anomaly flags; the publisher
+        never writes to it.
     run_id:
         Identity shared with the run-registry record (default: a fresh
         :func:`new_run_id`).
@@ -94,10 +108,6 @@ class LivePublisher:
         (engine, stat, shape, band, memory budget, ...). When it names
         ``n_snps``/``k_words`` and no band, snapshots include a running
         %-of-peak estimate from the perfmodel.
-    recorder:
-        Optional :class:`~repro.observe.metrics.MetricsRecorder` to pull
-        prefetch/phase/counter state from at publish time. The
-        publisher never writes to it.
     interval:
         Throttle for :meth:`maybe_publish` (seconds; ~2 Hz default).
     """
@@ -106,31 +116,24 @@ class LivePublisher:
         self,
         path: str | Path,
         *,
+        recorder,
         run_id: str | None = None,
         config: dict | None = None,
-        recorder=None,
         interval: float = DEFAULT_INTERVAL,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.path = Path(path)
+        self.recorder = recorder
         self.run_id = run_id if run_id is not None else new_run_id()
         self.config = dict(config) if config else {}
-        self.recorder = recorder
         self.interval = float(interval)
         self.phase = "starting"
         self.n_published = 0
-        # Progress state, fed by the engine hooks.
+        # Run totals, from the run_start event.
         self.tiles_total = 0
-        self.tiles_done = 0
-        self.tiles_skipped = 0
         self.tiles_pruned = 0
-        self.tiles_quarantined = 0
         self.pairs_total = 0
-        self.pairs_done = 0
-        self.pairs_skipped = 0
-        self.retries = 0
-        self.worker_respawns = 0
         self.workers: dict[str, dict] = {}
         self._respawn_log: deque[dict] = deque(maxlen=8)
         self._t0 = time.monotonic()
@@ -142,65 +145,59 @@ class LivePublisher:
         self._rate_history: deque[float] = deque(maxlen=RATE_HISTORY)
         self.last_anomalies: list[dict] = []
 
-    # -- engine-facing hooks (cheap; no I/O) ------------------------------
+    # -- sink interface (cheap unless a publish is due) --------------------
 
-    def begin(
-        self, *, n_tiles: int, pairs_total: int, n_pruned: int = 0
-    ) -> None:
-        """Record the run's totals and force the first snapshot out."""
-        self.tiles_total = n_tiles
-        self.pairs_total = pairs_total
-        self.tiles_pruned = n_pruned
-        self.phase = "running"
-        self._t0 = time.monotonic()
-        self._started_unix = time.time()
-        self.publish()
+    def write(self, event: dict) -> None:
+        """Fold one recorder event in, then publish if the throttle allows.
 
-    def tile_done(
-        self, *, worker: str, pairs: int, compute_s: float = 0.0
-    ) -> None:
-        """One tile delivered: progress plus the worker's heartbeat."""
-        self.tiles_done += 1
-        self.pairs_done += pairs
-        row = self.workers.get(worker)
-        if row is None:
-            row = self.workers[worker] = {
-                "worker": worker, "n_tiles": 0, "busy_seconds": 0.0,
-                "last_seen": 0.0,
-            }
-        row["n_tiles"] += 1
-        row["busy_seconds"] += float(compute_s)
-        row["last_seen"] = time.monotonic()
+        ``run_start`` and ``run_end`` force a snapshot out (phase
+        ``running`` / ``done``).
+        """
+        kind = event["kind"]
+        if kind == "tile_computed":
+            worker = event["worker"]
+            row = self.workers.get(worker)
+            if row is None:
+                row = self.workers[worker] = {
+                    "worker": worker, "n_tiles": 0, "busy_seconds": 0.0,
+                    "last_seen": 0.0,
+                }
+            row["n_tiles"] += 1
+            row["busy_seconds"] += float(event["compute_s"])
+            row["last_seen"] = time.monotonic()
+        elif kind == "worker_respawn":
+            self._respawn_log.append({
+                "worker": int(event["worker"]),
+                "elapsed_seconds": time.monotonic() - self._t0,
+            })
+        elif kind == "run_start":
+            self.tiles_total = event["n_tiles"]
+            self.pairs_total = event["pairs_total"]
+            self.tiles_pruned = event.get("tiles_pruned", 0)
+            self.phase = "running"
+            self._t0 = time.monotonic()
+            self._started_unix = time.time()
+            self.publish()
+            return
+        elif kind == "run_end":
+            self.phase = "done"
+            self.publish()
+            return
+        self.maybe_publish()
 
-    def tile_skipped(self, pairs: int) -> None:
-        self.tiles_skipped += 1
-        self.pairs_skipped += pairs
-
-    def tile_quarantined(self) -> None:
-        self.tiles_quarantined += 1
-
-    def tile_retry(self) -> None:
-        self.retries += 1
-
-    def worker_respawn(self, worker: int) -> None:
-        self.worker_respawns += 1
-        self._respawn_log.append({
-            "worker": int(worker),
-            "elapsed_seconds": time.monotonic() - self._t0,
-        })
-
-    def finish(self) -> None:
-        """Mark the run done and force the final snapshot out."""
-        self.phase = "done"
-        self.publish()
+    def close(self) -> None:
+        """Publish ``phase: "failed"`` if the run never reached ``run_end``."""
+        if self.phase in ("starting", "running"):
+            self.phase = "failed"
+            self.publish()
 
     # -- publication ------------------------------------------------------
 
     def maybe_publish(self) -> bool:
-        """Publish if the throttle interval elapsed; the engine hot path.
+        """Publish if the throttle interval elapsed.
 
         One monotonic-clock read and a comparison when throttled — cheap
-        enough for the drive loop to call once per drain round.
+        enough to run on every event.
         """
         now = time.monotonic()
         if now < self._next_due:
@@ -224,10 +221,12 @@ class LivePublisher:
 
     def _snapshot(self, now: float) -> dict:
         elapsed = max(now - self._t0, 1e-9)
-        self._rate_samples.append((now, self.pairs_done))
+        counters = self.recorder.counters
+        pairs_done = counters.get("engine.pairs_computed", 0)
+        self._rate_samples.append((now, pairs_done))
         t_old, pairs_old = self._rate_samples[0]
         window = (
-            (self.pairs_done - pairs_old) / (now - t_old)
+            (pairs_done - pairs_old) / (now - t_old)
             if now > t_old else 0.0
         )
         self._rate_history.append(window)
@@ -245,15 +244,12 @@ class LivePublisher:
                     else "idle"
                 ),
             })
-        prefetch = {"bytes_read": 0, "stall_seconds": 0.0}
-        if self.recorder is not None:
-            prefetch["bytes_read"] = self.recorder.counters.get(
-                "prefetch.bytes_read", 0
-            )
-            stall = self.recorder.timers.get("prefetch.stall_seconds")
-            if stall is not None:
-                prefetch["stall_seconds"] = stall.total
-        percent_of_peak = self._percent_of_peak(elapsed)
+        stall = self.recorder.timers.get("prefetch.stall_seconds")
+        prefetch = {
+            "bytes_read": counters.get("prefetch.bytes_read", 0),
+            "stall_seconds": stall.total if stall is not None else 0.0,
+        }
+        percent_of_peak = self._percent_of_peak(elapsed, pairs_done)
         self.last_anomalies = self._anomalies(
             elapsed, worker_rows, prefetch["stall_seconds"]
         )
@@ -269,29 +265,31 @@ class LivePublisher:
             "config": self.config,
             "tiles": {
                 "total": self.tiles_total,
-                "done": self.tiles_done,
-                "skipped": self.tiles_skipped,
+                "done": counters.get("engine.tiles_computed", 0),
+                "skipped": counters.get("engine.tiles_skipped", 0),
                 "pruned": self.tiles_pruned,
-                "quarantined": self.tiles_quarantined,
+                "quarantined": counters.get("engine.tiles_quarantined", 0),
             },
             "pairs": {
                 "total": self.pairs_total,
-                "done": self.pairs_done,
-                "skipped": self.pairs_skipped,
-                "per_second": self.pairs_done / elapsed,
+                "done": pairs_done,
+                "skipped": counters.get("engine.pairs_skipped", 0),
+                "per_second": pairs_done / elapsed,
                 "window_per_second": window,
             },
             "percent_of_peak": percent_of_peak,
             "workers": worker_rows,
-            "worker_respawns": self.worker_respawns,
+            "worker_respawns": counters.get("engine.worker_respawns", 0),
             "recent_respawns": list(self._respawn_log),
-            "retries": self.retries,
+            "retries": counters.get("engine.retries", 0),
             "prefetch": prefetch,
             "anomalies": self.last_anomalies,
             "rate_history": [round(r, 3) for r in self._rate_history],
         }
 
-    def _percent_of_peak(self, elapsed: float) -> float | None:
+    def _percent_of_peak(
+        self, elapsed: float, pairs_done: int
+    ) -> float | None:
         """Running %-of-peak estimate from the perfmodel hooks.
 
         Projects the run's end-to-end time at the current average rate
@@ -304,10 +302,10 @@ class LivePublisher:
         k_words = self.config.get("k_words")
         if (
             not n_snps or not k_words or self.config.get("band")
-            or self.pairs_done <= 0 or self.pairs_total <= 0
+            or pairs_done <= 0 or self.pairs_total <= 0
         ):
             return None
-        projected = elapsed * self.pairs_total / self.pairs_done
+        projected = elapsed * self.pairs_total / pairs_done
         from repro.observe.modelcheck import compare_to_model
 
         return compare_to_model(
@@ -352,7 +350,7 @@ class LivePublisher:
     def _packing_anomaly(self) -> list[dict]:
         n_snps = self.config.get("n_snps")
         k_words = self.config.get("k_words")
-        if self.recorder is None or not n_snps or not k_words:
+        if not n_snps or not k_words:
             return []
         measured = {
             key[len("phase."):]: hist.total
@@ -548,7 +546,7 @@ def prometheus_text(snapshot: dict) -> str:
         lines.append(f"{name}{label} {num(value)}")
 
     gauge("repro_live_up",
-          "1 while the engine run is publishing (0 once done)",
+          "1 while the engine run is publishing (0 once done or failed)",
           1.0 if snapshot.get("phase") == "running" else 0.0)
     gauge("repro_elapsed_seconds", "Wall-clock seconds since run start",
           snapshot.get("elapsed_seconds"))

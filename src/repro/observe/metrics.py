@@ -14,16 +14,20 @@ module provides the recording half of :mod:`repro.observe`:
   post-hoc analysis (one object per line, monotonic ``ts`` seconds since
   the recorder was created) — the trace format the out-of-core GEMM
   literature uses to attribute wall-clock to compute vs. I/O overlap.
+  It is one *sink* of the recorder's event stream; the progress line
+  (:class:`repro.observe.progress.ProgressReporter`) and the live
+  snapshot (:class:`repro.observe.live.LivePublisher`) are the others,
+  so every projection of a run counts the same events.
 - :class:`Histogram` is the bounded summary behind timers and value
   distributions: count / total / min / max plus streaming p50/p95/p99
   estimates (Jain & Chlamtac's P² algorithm — five markers per
   quantile), never per-sample storage, so a million-tile run costs O(1)
   memory and the quantiles stay unbiased by any sample cap.
 
-The hot paths take ``recorder: MetricsRecorder | None = None`` and guard
-every emission with ``if recorder is not None`` — the disabled default is
-a branch on ``None`` per tile, not a method call, so instrumentation is
-zero-cost unless switched on.
+The engine takes one ``recorder: MetricsRecorder | None = None`` and
+guards every emission with ``if recorder is not None`` — the disabled
+default is a branch on ``None`` per tile, not a method call, so
+instrumentation is zero-cost unless switched on.
 """
 
 from __future__ import annotations
@@ -191,8 +195,7 @@ class JsonlTraceSink:
     ``json.dumps`` cannot encode via ``repr`` — an exotic field (say, an
     exception object on a retry event) must not crash a run mid-flight.
     Interpretation (which kinds exist, which fields they carry) belongs
-    to the emitters; ``docs/TUTORIAL.md`` documents the engine's event
-    vocabulary.
+    to the emitters; ``docs/METRICS.md`` is the engine's event schema.
 
     Durability: with ``flush_on_write`` every line reaches the OS as it
     is written (a crashed run loses at most the torn final line, which
@@ -242,17 +245,22 @@ class MetricsRecorder:
 
     Parameters
     ----------
-    trace:
-        Optional :class:`JsonlTraceSink` (or any object with a
-        ``write(dict)`` method); every :meth:`event` is streamed to it
-        with a monotonic ``ts`` field.
+    sinks:
+        Objects with ``write(record)`` and ``close()`` — a
+        :class:`JsonlTraceSink`, a
+        :class:`~repro.observe.progress.ProgressReporter`, a
+        :class:`~repro.observe.live.LivePublisher` — each handed every
+        :meth:`event` record (``kind``, a monotonic ``ts``, the fields)
+        and closed by :meth:`close`. Events are emitted only from the
+        run's driver thread (worker and prefetch threads bump counters
+        and timers, never events), so sinks need no locking.
     keep_events:
         Retain the full event list in memory (``self.events``). Off by
         default — per-tile events on a biobank-scale run would exhaust
         memory; the counters/timers aggregate them regardless.
     """
 
-    trace: JsonlTraceSink | None = None
+    sinks: list = field(default_factory=list)
     keep_events: bool = False
     counters: dict[str, int] = field(default_factory=dict)
     timers: dict[str, Histogram] = field(default_factory=dict)
@@ -291,17 +299,17 @@ class MetricsRecorder:
         """Record one structured occurrence of *kind*.
 
         Bumps the ``events.<kind>`` counter, appends to ``self.events``
-        when retention is on, and streams ``{"kind", "ts", **fields}`` to
-        the trace sink when one is attached.
+        when retention is on, and writes ``{"kind", "ts", **fields}`` to
+        every attached sink.
         """
         self.inc(f"events.{kind}")
-        if self.keep_events or self.trace is not None:
+        if self.keep_events or self.sinks:
             record = {"kind": kind, "ts": time.perf_counter() - self._t0}
             record.update(fields)
             if self.keep_events:
                 self.events.append(record)
-            if self.trace is not None:
-                self.trace.write(record)
+            for sink in self.sinks:
+                sink.write(record)
 
     def event_count(self, kind: str) -> int:
         """Occurrences of *kind* recorded so far."""
@@ -327,9 +335,9 @@ class MetricsRecorder:
         )
 
     def close(self) -> None:
-        """Close the attached trace sink, if any; idempotent."""
-        if self.trace is not None:
-            self.trace.close()
+        """Close every attached sink."""
+        for sink in self.sinks:
+            sink.close()
 
     def __enter__(self) -> "MetricsRecorder":
         return self

@@ -1,9 +1,11 @@
 """Live progress reporting for tiled LD runs (tiles/s, pairs/s, ETA).
 
 A multi-hour out-of-core run that prints nothing until the final tile
-count is indistinguishable from a hung one. :class:`ProgressReporter`
-tracks delivered tiles and matrix cells against the known totals and
-renders a single self-overwriting status line::
+count is indistinguishable from a hung one. :class:`ProgressReporter` is
+a sink of the run's :class:`~repro.observe.metrics.MetricsRecorder`: it
+takes the totals from the engine's ``run_start`` event, counts the
+``tile_computed`` / ``tile_skipped`` events against them, and renders a
+single self-overwriting status line::
 
     ld: 37/120 tiles (30.8%)  14.2 Mpairs/s  3.1 tiles/s  eta 27s
 
@@ -75,11 +77,15 @@ class ProgressSnapshot:
 class ProgressReporter:
     """Tracks tile/pair completion and optionally renders a stderr line.
 
+    Attach it as ``MetricsRecorder(sinks=[ProgressReporter()])``. The
+    totals come from the ``run_start`` event (``n_tiles``,
+    ``pairs_total``); every ``tile_computed`` and ``tile_skipped`` event
+    advances the bar by its ``pairs``. Skipped tiles count as done — a
+    resumed run starts partway along the bar, matching the work actually
+    left.
+
     Parameters
     ----------
-    tiles_total, pairs_total:
-        Totals for the run (skipped tiles count as done — a resumed run
-        starts partway along the bar, matching the work actually left).
     stream:
         Where to render; ``None`` disables rendering but keeps the
         accounting (headless mode). Defaults to ``sys.stderr``.
@@ -94,20 +100,16 @@ class ProgressReporter:
 
     def __init__(
         self,
-        tiles_total: int,
-        pairs_total: int,
         *,
         stream=sys.stderr,
         min_interval: float = 0.1,
         label: str = "ld",
         window_seconds: float = 20.0,
     ) -> None:
-        if tiles_total < 0 or pairs_total < 0:
-            raise ValueError("totals must be non-negative")
         if window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        self.tiles_total = tiles_total
-        self.pairs_total = pairs_total
+        self.tiles_total = 0
+        self.pairs_total = 0
         self.stream = stream
         self.min_interval = min_interval
         self.label = label
@@ -123,15 +125,17 @@ class ProgressReporter:
         self._last_render = float("-inf")
         self._rendered = False
 
-    def advance(self, n_pairs: int, *, skipped: bool = False) -> None:
-        """Account one finished tile covering *n_pairs* matrix cells.
-
-        *skipped* tiles (journaled by a previous run) advance the bar
-        identically — the distinction lives in the metrics events, not in
-        completion accounting.
-        """
+    def write(self, event: dict) -> None:
+        """Fold one recorder event into the accounting."""
+        kind = event["kind"]
+        if kind == "run_start":
+            self.tiles_total = event["n_tiles"]
+            self.pairs_total = event["pairs_total"]
+            return
+        if kind not in ("tile_computed", "tile_skipped"):
+            return
         self.tiles_done += 1
-        self.pairs_done += n_pairs
+        self.pairs_done += event["pairs"]
         now = time.perf_counter()
         window = self._window
         window.append((now, self.tiles_done, self.pairs_done))

@@ -395,8 +395,10 @@ class TestBandedProgress:
         tiles = enumerate_tiles(N_SNPS, BLOCK, band=band)
         pairs_total = sum(band.pairs_in(t) for t in tiles)
         assert pairs_total < dense_pair_cells(N_SNPS, BLOCK)
-        progress = ProgressReporter(len(tiles), pairs_total, stream=None)
-        _, report = _banded_values(packed, progress=progress)
+        progress = ProgressReporter(stream=None)
+        _, report = _banded_values(
+            packed, recorder=MetricsRecorder(sinks=[progress])
+        )
         assert report.complete
         assert progress.tiles_done == len(tiles)
         assert progress.pairs_done == pairs_total

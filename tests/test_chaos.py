@@ -231,16 +231,18 @@ class TestPersistentChaos:
             FaultSpec(site="tile_compute", action="kill", tile=(14, 0),
                       attempts_below=1),
         ))
+        recorder = MetricsRecorder()
         live = LivePublisher(
-            tmp_path / "live.json", interval=0.01,
+            tmp_path / "live.json", recorder=recorder, interval=0.01,
             config={"engine": "persistent", "stat": "r2"},
         )
+        recorder.sinks.append(live)
         out = tmp_path / "killed.npy"
         with NpyMemmapSink(out, n) as sink:
             report = run_engine(
                 chaos_panel, sink, engine="persistent", block_snps=7,
                 n_workers=2, max_retries=MAX_RETRIES, retry_backoff=0.0,
-                faults=plan, live=live,
+                faults=plan, recorder=recorder,
             )
         assert report.complete and report.n_worker_respawns >= 1
         snapshot = read_snapshot(live.path)

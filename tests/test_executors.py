@@ -38,7 +38,7 @@ from repro.core.executors import (
 from repro.core.ldmatrix import as_bitmatrix, ld_matrix
 from repro.core.streaming import NpyMemmapSink
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
-from repro.observe import MetricsRecorder, SpanProfiler
+from repro.observe import MetricsRecorder, SpanProfiler, profiling
 
 #: Awkward differential shapes: word-aligned, fringe bits, wide panels.
 CONFORMANCE_SHAPES = [(64, 20), (65, 24), (90, 41), (31, 90)]
@@ -213,10 +213,11 @@ class TestWarmReuse:
 
         warm_rec = MetricsRecorder()
         profiler = SpanProfiler()
-        _, warm = _assemble(
-            panel, engine="persistent", block_snps=9, n_workers=2,
-            recorder=warm_rec, profiler=profiler,
-        )
+        with profiling(profiler):
+            _, warm = _assemble(
+                panel, engine="persistent", block_snps=9, n_workers=2,
+                recorder=warm_rec,
+            )
         assert warm.complete
         assert warm.n_pool_spawns == 0
         assert warm.n_worker_respawns == 0

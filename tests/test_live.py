@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import run_engine
+from repro.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.observe import MetricsRecorder
 from repro.observe.live import (
     LIVE_SCHEMA,
@@ -28,12 +29,35 @@ def panel(rng):
     return rng.integers(0, 2, size=(60, 33)).astype(np.uint8)
 
 
+def attach(path, **kwargs) -> tuple[MetricsRecorder, LivePublisher]:
+    """A publisher attached as a sink of a fresh recorder."""
+    recorder = MetricsRecorder()
+    pub = LivePublisher(path, recorder=recorder, **kwargs)
+    recorder.sinks.append(pub)
+    return recorder, pub
+
+
+# The engine's emissions, as the publisher sees them: counters bumped
+# first, then the event.
+
+
+def run_start(rec, n_tiles, pairs_total):
+    rec.event("run_start", n_tiles=n_tiles, pairs_total=pairs_total)
+
+
+def tile_computed(rec, worker, pairs, compute_s=0.0):
+    rec.inc("engine.tiles_computed")
+    rec.inc("engine.pairs_computed", pairs)
+    rec.event("tile_computed", tile=[0, 0], pairs=pairs,
+              compute_s=compute_s, worker=worker)
+
+
 class TestLivePublisher:
     def test_begin_publishes_first_snapshot(self, tmp_path):
         path = tmp_path / "live.json"
-        pub = LivePublisher(path, config={"engine": "serial", "stat": "r2"})
+        rec, pub = attach(path, config={"engine": "serial", "stat": "r2"})
         assert not path.exists()
-        pub.begin(n_tiles=10, pairs_total=1000)
+        run_start(rec, 10, 1000)
         snapshot = read_snapshot(path)
         assert snapshot["schema"] == LIVE_SCHEMA
         assert snapshot["phase"] == "running"
@@ -42,11 +66,11 @@ class TestLivePublisher:
         assert snapshot["config"]["engine"] == "serial"
 
     def test_progress_and_worker_heartbeats(self, tmp_path):
-        pub = LivePublisher(tmp_path / "live.json")
-        pub.begin(n_tiles=4, pairs_total=400)
-        pub.tile_done(worker="pid-1", pairs=100, compute_s=0.01)
-        pub.tile_done(worker="pid-1", pairs=100, compute_s=0.01)
-        pub.tile_done(worker="pid-2", pairs=100, compute_s=0.02)
+        rec, pub = attach(tmp_path / "live.json")
+        run_start(rec, 4, 400)
+        tile_computed(rec, "pid-1", 100, 0.01)
+        tile_computed(rec, "pid-1", 100, 0.01)
+        tile_computed(rec, "pid-2", 100, 0.02)
         pub.publish()
         snapshot = read_snapshot(pub.path)
         assert snapshot["tiles"]["done"] == 3
@@ -57,11 +81,14 @@ class TestLivePublisher:
         assert all(r["state"] == "busy" for r in snapshot["workers"])
 
     def test_fault_accounting(self, tmp_path):
-        pub = LivePublisher(tmp_path / "live.json")
-        pub.begin(n_tiles=2, pairs_total=20)
-        pub.tile_retry()
-        pub.tile_quarantined()
-        pub.worker_respawn(1)
+        rec, pub = attach(tmp_path / "live.json")
+        run_start(rec, 2, 20)
+        rec.inc("engine.retries")
+        rec.event("tile_retry", tile=[0, 0], error="boom")
+        rec.inc("engine.tiles_quarantined")
+        rec.event("tile_quarantined", tile=[0, 0], error="boom")
+        rec.inc("engine.worker_respawns")
+        rec.event("worker_respawn", worker=1)
         pub.publish()
         snapshot = read_snapshot(pub.path)
         assert snapshot["retries"] == 1
@@ -70,20 +97,20 @@ class TestLivePublisher:
         assert snapshot["recent_respawns"][0]["worker"] == 1
 
     def test_finish_marks_done(self, tmp_path):
-        pub = LivePublisher(tmp_path / "live.json")
-        pub.begin(n_tiles=1, pairs_total=1)
-        pub.finish()
+        rec, pub = attach(tmp_path / "live.json")
+        run_start(rec, 1, 1)
+        rec.event("run_end")
         assert read_snapshot(pub.path)["phase"] == "done"
 
     def test_maybe_publish_throttles(self, tmp_path):
-        pub = LivePublisher(tmp_path / "live.json", interval=60.0)
+        _, pub = attach(tmp_path / "live.json", interval=60.0)
         assert pub.maybe_publish() is True  # first call always fires
         assert pub.maybe_publish() is False  # throttled for 60 s
         assert pub.n_published == 1
 
     def test_seq_monotone_and_atomic_tmp_cleanup(self, tmp_path):
-        pub = LivePublisher(tmp_path / "live.json")
-        pub.begin(n_tiles=1, pairs_total=1)
+        rec, pub = attach(tmp_path / "live.json")
+        run_start(rec, 1, 1)
         for _ in range(3):
             pub.publish()
         snapshot = read_snapshot(pub.path)
@@ -92,37 +119,39 @@ class TestLivePublisher:
 
     def test_interval_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="interval"):
-            LivePublisher(tmp_path / "live.json", interval=0.0)
+            LivePublisher(
+                tmp_path / "live.json", recorder=MetricsRecorder(),
+                interval=0.0,
+            )
 
     def test_percent_of_peak_needs_shape_and_dense(self, tmp_path):
-        pub = LivePublisher(tmp_path / "live.json")  # no shape in config
-        pub.begin(n_tiles=1, pairs_total=100)
-        pub.tile_done(worker="w", pairs=50)
+        rec, pub = attach(tmp_path / "live.json")  # no shape in config
+        run_start(rec, 1, 100)
+        tile_computed(rec, "w", 50)
         pub.publish()
         assert read_snapshot(pub.path)["percent_of_peak"] is None
-        banded = LivePublisher(
+        banded_rec, banded = attach(
             tmp_path / "banded.json",
             config={"n_snps": 64, "k_words": 2, "band": "window 8"},
         )
-        banded.begin(n_tiles=1, pairs_total=100)
-        banded.tile_done(worker="w", pairs=50)
+        run_start(banded_rec, 1, 100)
+        tile_computed(banded_rec, "w", 50)
         banded.publish()
         assert read_snapshot(banded.path)["percent_of_peak"] is None
 
     def test_percent_of_peak_on_dense_shape(self, tmp_path):
-        pub = LivePublisher(
+        rec, pub = attach(
             tmp_path / "live.json", config={"n_snps": 64, "k_words": 2}
         )
-        pub.begin(n_tiles=1, pairs_total=100)
-        pub.tile_done(worker="w", pairs=50)
+        run_start(rec, 1, 100)
+        tile_computed(rec, "w", 50)
         pub.publish()
         peak = read_snapshot(pub.path)["percent_of_peak"]
         assert peak is not None and 0.0 <= peak <= 100.0
 
     def test_io_bound_anomaly_from_recorder(self, tmp_path):
-        recorder = MetricsRecorder()
-        pub = LivePublisher(tmp_path / "live.json", recorder=recorder)
-        pub.begin(n_tiles=1, pairs_total=10)
+        recorder, pub = attach(tmp_path / "live.json")
+        run_start(recorder, 1, 10)
         # Stall far beyond STALL_THRESHOLD of any sane elapsed time.
         recorder.observe_time("prefetch.stall_seconds", 1e6)
         recorder.inc("prefetch.bytes_read", 4096)
@@ -148,8 +177,8 @@ class TestConcurrentReaders:
     def test_reader_never_sees_torn_json(self, tmp_path):
         """A polling reader racing the writer always parses a full doc."""
         path = tmp_path / "live.json"
-        pub = LivePublisher(path)
-        pub.begin(n_tiles=1, pairs_total=1)
+        rec, pub = attach(path)
+        run_start(rec, 1, 1)
         errors: list[Exception] = []
         stop = threading.Event()
 
@@ -170,7 +199,7 @@ class TestConcurrentReaders:
         # non-atomic write would actually tear.
         pub.config["pad"] = "x" * 4096
         for i in range(300):
-            pub.tile_done(worker=f"w{i % 3}", pairs=1)
+            tile_computed(rec, f"w{i % 3}", 1)
             pub.publish()
         stop.set()
         for t in readers:
@@ -181,9 +210,10 @@ class TestConcurrentReaders:
 class TestEngineIntegration:
     def test_engine_run_feeds_publisher(self, panel, tmp_path):
         path = tmp_path / "live.json"
-        pub = LivePublisher(path, config={"engine": "serial", "stat": "r2"})
+        rec, _ = attach(path, config={"engine": "serial", "stat": "r2"})
         report = run_engine(
-            panel, lambda *a: None, engine="serial", block_snps=8, live=pub
+            panel, lambda *a: None, engine="serial", block_snps=8,
+            recorder=rec,
         )
         snapshot = read_snapshot(path)
         assert snapshot["phase"] == "done"
@@ -197,28 +227,43 @@ class TestEngineIntegration:
         run_engine(
             panel, lambda *a: None, block_snps=8, manifest_path=manifest
         )
-        pub = LivePublisher(tmp_path / "live.json")
+        rec, pub = attach(tmp_path / "live.json")
         run_engine(
             panel, lambda *a: None, block_snps=8, manifest_path=manifest,
-            resume=True, live=pub,
+            resume=True, recorder=rec,
         )
         snapshot = read_snapshot(pub.path)
         assert snapshot["tiles"]["skipped"] == snapshot["tiles"]["total"] > 0
         assert snapshot["tiles"]["done"] == 0
 
+    def test_raising_run_ends_at_failed(self, panel, tmp_path):
+        """A run that raises never emits run_end; closing the recorder
+        must still take the snapshot out of phase "running"."""
+        plan = FaultPlan(specs=(FaultSpec(site="tile_compute", tile=(8, 0)),))
+        rec, pub = attach(tmp_path / "live.json", run_id="dead")
+        with pytest.raises(InjectedFault), rec:
+            run_engine(
+                panel, lambda *a: None, engine="serial", block_snps=8,
+                max_retries=1, retry_backoff=0.0, faults=plan, recorder=rec,
+            )
+        snapshot = read_snapshot(pub.path)
+        assert snapshot["phase"] == "failed"
+        assert 'repro_live_up{run_id="dead"} 0' in prometheus_text(snapshot)
+
 
 class TestRenderTop:
     def _snapshot(self, tmp_path) -> dict:
-        pub = LivePublisher(
+        rec, pub = attach(
             tmp_path / "live.json",
             config={
                 "engine": "threads", "workers": 2, "stat": "r2",
                 "n_snps": 60, "n_samples": 33,
             },
         )
-        pub.begin(n_tiles=4, pairs_total=400)
-        pub.tile_done(worker="pid-7", pairs=100, compute_s=0.01)
-        pub.worker_respawn(0)
+        run_start(rec, 4, 400)
+        tile_computed(rec, "pid-7", 100, 0.01)
+        rec.inc("engine.worker_respawns")
+        rec.event("worker_respawn", worker=0)
         pub.publish()
         return read_snapshot(pub.path)
 
@@ -240,9 +285,9 @@ class TestRenderTop:
 
 class TestPrometheus:
     def test_text_format_core_series(self, tmp_path):
-        pub = LivePublisher(tmp_path / "live.json", run_id="test-run")
-        pub.begin(n_tiles=4, pairs_total=400)
-        pub.tile_done(worker="pid-1", pairs=100)
+        rec, pub = attach(tmp_path / "live.json", run_id="test-run")
+        run_start(rec, 4, 400)
+        tile_computed(rec, "pid-1", 100)
         pub.publish()
         text = prometheus_text(read_snapshot(pub.path))
         assert 'repro_live_up{run_id="test-run"} 1' in text
@@ -254,16 +299,16 @@ class TestPrometheus:
         assert text.endswith("\n")
 
     def test_anomaly_series_and_label_escaping(self, tmp_path):
-        pub = LivePublisher(tmp_path / "live.json", run_id='od"d\\run')
-        pub.begin(n_tiles=1, pairs_total=1)
+        rec, pub = attach(tmp_path / "live.json", run_id='od"d\\run')
+        run_start(rec, 1, 1)
         pub.publish()
         text = prometheus_text(read_snapshot(pub.path))
         assert r'run_id="od\"d\\run"' in text
         assert 'kind="none"' in text
 
     def test_serve_prometheus_scrape(self, tmp_path):
-        pub = LivePublisher(tmp_path / "live.json", run_id="served")
-        pub.begin(n_tiles=2, pairs_total=20)
+        rec, pub = attach(tmp_path / "live.json", run_id="served")
+        run_start(rec, 2, 20)
         pub.publish()
         server = serve_prometheus(pub.path, 0)  # port 0: pick a free one
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -277,7 +322,7 @@ class TestPrometheus:
                 body = resp.read().decode()
             assert 'repro_tiles_total{run_id="served"} 2' in body
             # The exporter re-reads per scrape: later publishes show up.
-            pub.tile_done(worker="w", pairs=10)
+            tile_computed(rec, "w", 10)
             pub.publish()
             with urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/metrics", timeout=10

@@ -17,6 +17,7 @@ import pytest
 from repro.core.blocking import FUSED_BLOCKING, BlockingParams
 from repro.core.gemm import (
     GEMM_KERNELS,
+    _run_kernel,
     gemm_operation_counts,
     popcount_gemm,
     popcount_gram,
@@ -182,31 +183,32 @@ class TestWorkspace:
 
 
 class TestOperationCountMirror:
+    """The symbolic walk counts exactly the tile visits the executing
+    driver (``_run_kernel``, behind popcount_gemm/popcount_gram) makes."""
+
     @pytest.mark.parametrize("kernel", ["numpy", "scalar", "fused-popcount"])
     @pytest.mark.parametrize("shape", [(17, 19, 3), (40, 23, 11), (9, 8, 0)])
     def test_gemm_tile_visits_match_model(self, kernel, shape):
-        from repro.observe import MetricsRecorder
-
         m, n, k = shape
         a = make_words(m, k, seed=21)
         b = make_words(n, k, seed=22)
-        recorder = MetricsRecorder()
-        popcount_gemm(
-            a, b, kernel=kernel, params=TINY, recorder=recorder
+        c = np.zeros((m, n), dtype=np.int64)
+        visits = _run_kernel(
+            a, b, c, TINY, kernel, GemmWorkspace(), symmetric=False
         )
         counts = gemm_operation_counts(m, n, k, TINY)
-        assert recorder.counters.get("gemm.tile_visits", 0) == counts.kernel_calls
+        assert visits == counts.kernel_calls
 
     @pytest.mark.parametrize("kernel", ["numpy", "fused-popcount"])
     @pytest.mark.parametrize("m,k", [(29, 3), (40, 5)])
     def test_gram_tile_visits_match_symmetric_model(self, kernel, m, k):
-        from repro.observe import MetricsRecorder
-
         a = make_words(m, k, seed=23)
-        recorder = MetricsRecorder()
-        popcount_gram(a, kernel=kernel, params=TINY, recorder=recorder)
+        c = np.zeros((m, m), dtype=np.int64)
+        visits = _run_kernel(
+            a, a, c, TINY, kernel, GemmWorkspace(), symmetric=True
+        )
         counts = gemm_operation_counts(m, m, k, TINY, symmetric=True)
-        assert recorder.counters.get("gram.tile_visits", 0) == counts.kernel_calls
+        assert visits == counts.kernel_calls
 
 
 class TestMirrorLowerInplace:

@@ -1,4 +1,5 @@
-"""docs/METRICS.md is a contract: emitted names must all be cataloged."""
+"""docs/METRICS.md is a contract: emitted names must all be cataloged,
+and every emitted event must carry exactly its documented fields."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.engine import run_engine
-from repro.observe import MetricsRecorder
+from repro.core.executors import stop_pools
+from repro.faults import FaultPlan, FaultSpec, InjectedCrash
+from repro.observe import MetricsRecorder, profiling
 
 CATALOG = Path(__file__).resolve().parent.parent / "docs" / "METRICS.md"
 
@@ -40,6 +43,76 @@ def is_cataloged(name: str, names: set[str]) -> bool:
     return False
 
 
+def documented_event_fields() -> dict[str, tuple[set[str], set[str]]]:
+    """kind -> (required, optional) fields from the event-kind table."""
+    text = CATALOG.read_text(encoding="utf-8")
+    section = text.split("## Trace event kinds", 1)[1].split("\n## ", 1)[0]
+    table: dict[str, tuple[set[str], set[str]]] = {}
+    for kind, cell in re.findall(r"^\| `([a-z_]+)` \| ([^|]*) \|", section,
+                                 flags=re.MULTILINE):
+        names = [name.strip() for name in cell.split(",") if name.strip()]
+        table[kind] = (
+            {n for n in names if not n.endswith("?")},
+            {n[:-1] for n in names if n.endswith("?")},
+        )
+    return table
+
+
+#: Fields every record carries whatever its kind.
+_ENVELOPE = {"kind", "ts"}
+
+
+@pytest.fixture(scope="module")
+def fault_run_events(tmp_path_factory):
+    """Events of runs that reach every optional field and most kinds.
+
+    A banded serial run is cut by a torn journal append, then resumed
+    under span profiling with a poison tile (retry, quarantine), a
+    bit-flip (corruption) and a slow tile (watchdog); a persistent run
+    loses a worker to a kill (pool spawn, respawn); a pool that cannot
+    spawn degrades to threads.
+    """
+    rng = np.random.default_rng(0xF1E1D)
+    panel = rng.integers(0, 2, size=(50, 41)).astype(np.uint8)
+    manifest = tmp_path_factory.mktemp("catalog") / "run.manifest"
+    events: list[dict] = []
+
+    def run(**kwargs) -> None:
+        recorder = MetricsRecorder(keep_events=True)
+        try:
+            run_engine(panel, lambda *a: None, block_snps=8,
+                       retry_backoff=0.0, recorder=recorder, **kwargs)
+        finally:
+            events.extend(recorder.events)
+
+    banded = dict(engine="serial", band=12, manifest_path=manifest)
+    with pytest.raises(InjectedCrash):
+        run(**banded, faults=FaultPlan(specs=(
+            FaultSpec(site="manifest_append", action="torn", tile=(16, 0)),
+        )))
+    with profiling():
+        run(**banded, resume=True, max_retries=1, allow_quarantine=True,
+            tile_timeout=0.2, faults=FaultPlan(specs=(
+                FaultSpec(site="tile_compute", tile=(24, 8)),
+                FaultSpec(site="tile_deliver", action="bitflip",
+                          tile=(32, 16), attempts_below=1),
+                FaultSpec(site="tile_compute", action="delay",
+                          tile=(40, 24), attempts_below=1,
+                          delay_seconds=0.3),
+            )))
+    stop_pools()
+    run(engine="persistent", n_workers=2, faults=FaultPlan(specs=(
+        FaultSpec(site="tile_compute", action="kill", tile=(16, 0),
+                  attempts_below=1),
+    )))
+    stop_pools()
+    run(engine="persistent", n_workers=2, faults=FaultPlan(specs=(
+        FaultSpec(site="pool_spawn"),
+    )))
+    stop_pools()
+    return events
+
+
 @pytest.fixture(scope="module")
 def instrumented_recorder():
     rng = np.random.default_rng(0xCA7A)
@@ -58,7 +131,8 @@ class TestCatalog:
         names = catalog_names()
         # Spot checks: one of each family must be present.
         for expected in (
-            "engine.tiles_computed", "engine.run_seconds", "gemm.calls",
+            "engine.tiles_computed", "engine.run_seconds",
+            "prefetch.stall_seconds",
             "prefetch.bytes_read",
             "phase.worker.idle", "events.<kind>", "phase.<span>",
             "tile_computed", "worker_respawn", "pack_a", "driver.wait",
@@ -109,3 +183,30 @@ class TestCatalog:
             f"source emits names missing from docs/METRICS.md: "
             f"{sorted(missing)}"
         )
+
+    def test_every_event_carries_exactly_its_documented_fields(
+        self, fault_run_events
+    ):
+        documented = documented_event_fields()
+        kinds = {e["kind"] for e in fault_run_events}
+        # The runs reached what they were built to reach.
+        assert {
+            "run_start", "run_end", "tile_computed", "tile_skipped",
+            "tile_retry", "tile_corrupt", "tile_timeout",
+            "tile_quarantined", "pool_spawn", "worker_respawn",
+            "pool_spawn_failed", "executor_degraded",
+        } <= kinds
+        assert any("band" in e for e in fault_run_events)
+        assert any("phases" in e for e in fault_run_events)
+        for event in fault_run_events:
+            kind = event["kind"]
+            assert kind in documented, f"{kind} has no row in the schema"
+            required, optional = documented[kind]
+            fields = set(event) - _ENVELOPE
+            assert required <= fields, (
+                f"{kind} lacks documented fields {sorted(required - fields)}"
+            )
+            assert fields <= required | optional, (
+                f"{kind} carries undocumented fields "
+                f"{sorted(fields - required - optional)}"
+            )

@@ -8,11 +8,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.engine import enumerate_tiles, run_engine
+from repro.core.engine import run_engine
 from repro.core.executors import stop_pools
-from repro.core.gemm import popcount_gemm, popcount_gram
 from repro.core.streaming import stream_ld_blocks
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec, InjectedCrash
+from repro.io.msformat import write_ms
 from repro.machine.cpu import HASWELL
 from repro.machine.perfmodel import (
     estimate_gemm_performance,
@@ -26,6 +26,7 @@ from repro.observe import (
     ProgressReporter,
     compare_to_model,
 )
+from repro.observe.live import read_snapshot
 
 
 @pytest.fixture
@@ -122,7 +123,7 @@ class TestMetricsRecorder:
 
     def test_trace_sink_receives_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with MetricsRecorder(trace=JsonlTraceSink(path)) as rec:
+        with MetricsRecorder(sinks=[JsonlTraceSink(path)]) as rec:
             rec.event("a", x=1)
             rec.event("b", y=[2, 3])
         lines = [json.loads(l) for l in path.read_text().splitlines()]
@@ -187,11 +188,24 @@ class TestJsonlTraceSink:
         assert json.loads(final[0])["kind"] == "tick"
 
 
+def fed_progress(n_tiles, pairs_total, **kwargs):
+    """A reporter attached to a recorder that has emitted run_start."""
+    progress = ProgressReporter(**kwargs)
+    rec = MetricsRecorder(sinks=[progress])
+    rec.event("run_start", n_tiles=n_tiles, pairs_total=pairs_total)
+    return rec, progress
+
+
+def tile_done(rec, pairs, *, skipped=False):
+    kind = "tile_skipped" if skipped else "tile_computed"
+    rec.event(kind, tile=[0, 0], pairs=pairs)
+
+
 class TestProgressReporter:
     def test_accounting_and_snapshot(self):
-        progress = ProgressReporter(4, 100, stream=None)
-        progress.advance(30)
-        progress.advance(20, skipped=True)
+        rec, progress = fed_progress(4, 100, stream=None)
+        tile_done(rec, 30)
+        tile_done(rec, 20, skipped=True)
         snap = progress.snapshot()
         assert snap.tiles_done == 2 and snap.pairs_done == 50
         assert snap.fraction == 0.5
@@ -199,16 +213,17 @@ class TestProgressReporter:
         assert 0 < snap.eta_seconds < float("inf")
 
     def test_eta_edge_cases(self):
-        progress = ProgressReporter(2, 10, stream=None)
+        rec, progress = fed_progress(2, 10, stream=None)
         assert progress.snapshot().eta_seconds == float("inf")  # no rate yet
-        progress.advance(10)
+        tile_done(rec, 10)
         assert progress.snapshot().eta_seconds == 0.0
 
     def test_renders_single_overwriting_line(self):
         buf = io.StringIO()
-        with ProgressReporter(2, 20, stream=buf, min_interval=0.0) as progress:
-            progress.advance(10)
-            progress.advance(10)
+        rec, _ = fed_progress(2, 20, stream=buf, min_interval=0.0)
+        with rec:
+            tile_done(rec, 10)
+            tile_done(rec, 10)
         text = buf.getvalue()
         assert text.count("\r") >= 2
         assert text.endswith("\n")
@@ -216,34 +231,30 @@ class TestProgressReporter:
 
     def test_rate_limited_rendering(self):
         buf = io.StringIO()
-        progress = ProgressReporter(100, 100, stream=buf, min_interval=3600.0)
+        rec, _ = fed_progress(100, 100, stream=buf, min_interval=3600.0)
         for _ in range(50):
-            progress.advance(1)
+            tile_done(rec, 1)
         # First render goes through; the rest are inside the interval.
         assert buf.getvalue().count("\r") == 1
 
-    def test_rejects_negative_totals(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ProgressReporter(-1, 0, stream=None)
-
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError, match="window_seconds"):
-            ProgressReporter(1, 1, stream=None, window_seconds=0.0)
+            ProgressReporter(stream=None, window_seconds=0.0)
 
     def test_eta_text_never_renders_zero_seconds(self):
         # Before any progress the ETA is unknown; once done it is moot.
         # Both render "--", never a misleading "eta 0s".
-        progress = ProgressReporter(2, 10, stream=None)
+        rec, progress = fed_progress(2, 10, stream=None)
         assert "eta --" in progress.format_line()
-        progress.advance(5)
+        tile_done(rec, 5)
         line = progress.format_line()
         assert "eta" in line and "eta 0s" not in line
-        progress.advance(5)
+        tile_done(rec, 5)
         assert "eta --" in progress.format_line()
 
     def test_window_rates_reflect_recent_throughput(self):
-        progress = ProgressReporter(100, 1000, stream=None,
-                                    window_seconds=60.0)
+        _, progress = fed_progress(100, 1000, stream=None,
+                                   window_seconds=60.0)
         # Inject a controlled sample history: 100 pairs/s long ago, then
         # a 10x faster recent burst inside the window.
         progress.tiles_done, progress.pairs_done = 4, 400
@@ -267,7 +278,7 @@ class TestProgressReporter:
         assert snap.eta_seconds == pytest.approx(0.6, rel=1e-6)
 
     def test_window_warmup_falls_back_to_cumulative(self):
-        progress = ProgressReporter(4, 100, stream=None)
+        _, progress = fed_progress(4, 100, stream=None)
         progress._window.clear()
         progress._window.append((progress._start, 0, 0))
         snap = progress.snapshot()
@@ -317,41 +328,13 @@ class TestMeasuredPerf:
         assert payload["measured_percent_of_peak"] > 0
 
 
-class TestGemmRecorder:
-    def test_gemm_emits_one_event_per_call(self, rng):
-        words = rng.integers(0, 2**63, size=(9, 2), dtype=np.uint64)
-        rec = MetricsRecorder(keep_events=True)
-        expected = popcount_gemm(words, words)
-        observed = popcount_gemm(words, words, recorder=rec)
-        np.testing.assert_array_equal(observed, expected)
-        assert rec.counters["gemm.calls"] == 1
-        assert rec.event_count("gemm") == 1
-        event = rec.events[0]
-        assert (event["m"], event["n"], event["k"]) == (9, 9, 2)
-        assert rec.timers["gemm.seconds"].count == 1
-
-    def test_gram_emits_gram_events(self, rng):
-        words = rng.integers(0, 2**63, size=(7, 3), dtype=np.uint64)
-        rec = MetricsRecorder(keep_events=True)
-        expected = popcount_gram(words)
-        observed = popcount_gram(words, recorder=rec)
-        np.testing.assert_array_equal(observed, expected)
-        assert rec.counters["gram.calls"] == 1
-        assert rec.event_count("gram") == 1
-
-
 class TestStreamingRecorder:
     def test_per_tile_events_and_counters(self, panel):
-        rec = MetricsRecorder(keep_events=True)
         buf = io.StringIO()
-        tiles = enumerate_tiles(33, 9)
-        progress = ProgressReporter(
-            len(tiles), sum(t.n_pairs for t in tiles),
-            stream=buf, min_interval=0.0,
-        )
+        progress = ProgressReporter(stream=buf, min_interval=0.0)
+        rec = MetricsRecorder(sinks=[progress], keep_events=True)
         n_blocks = stream_ld_blocks(
-            panel, lambda *a: None, block_snps=9,
-            recorder=rec, progress=progress,
+            panel, lambda *a: None, block_snps=9, recorder=rec,
         )
         assert rec.event_count("tile_computed") == n_blocks
         assert rec.counters["engine.tiles_computed"] == n_blocks
@@ -387,11 +370,11 @@ class TestEngineRecorder:
         first = run_engine(
             panel, lambda *a: None, block_snps=9, manifest_path=manifest
         )
-        rec = MetricsRecorder(keep_events=True)
-        progress = ProgressReporter(first.n_tiles, 1, stream=None)
+        progress = ProgressReporter(stream=None)
+        rec = MetricsRecorder(sinks=[progress], keep_events=True)
         second = run_engine(
             panel, lambda *a: None, block_snps=9, manifest_path=manifest,
-            resume=True, recorder=rec, progress=progress,
+            resume=True, recorder=rec,
         )
         assert second.n_skipped == first.n_tiles
         assert rec.event_count("tile_skipped") == second.n_skipped
@@ -401,7 +384,7 @@ class TestEngineRecorder:
 
     def test_trace_jsonl_written_through_engine(self, panel, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with MetricsRecorder(trace=JsonlTraceSink(path)) as rec:
+        with MetricsRecorder(sinks=[JsonlTraceSink(path)]) as rec:
             report = run_engine(
                 panel, lambda *a: None, block_snps=16, recorder=rec
             )
@@ -434,7 +417,7 @@ class TestFaultEventTrace:
     @staticmethod
     def _run(panel, trace_path, **kwargs):
         recorder = MetricsRecorder(
-            trace=JsonlTraceSink(trace_path), keep_events=True
+            sinks=[JsonlTraceSink(trace_path)], keep_events=True
         )
         with recorder:
             report = run_engine(
@@ -496,3 +479,93 @@ class TestFaultEventTrace:
         payload = recorder.summary()
         assert payload["counters"]["engine.degradations"] == 1
         assert payload["counters"]["events.executor_degraded"] == 1
+
+
+class TestProjectionsAgree:
+    """One run, every projection: metrics, trace, live snapshot, progress
+    line and registry record all count the recorder's one event stream."""
+
+    def test_resumed_faulty_cli_run(self, tmp_path, rng, monkeypatch):
+        from repro import cli
+
+        haps = rng.integers(0, 2, size=(40, 60)).astype(np.uint8)
+        panel = tmp_path / "panel.ms"
+        write_ms(panel, [(haps, np.sort(rng.random(60)))])
+        args = [
+            "ld", str(panel), "--engine", "persistent", "--workers", "2",
+            "--block-snps", "8", "--out", str(tmp_path / "ld.npy"),
+        ]
+        # Stopped by a torn journal append; the resume then loses the
+        # torn tile's worker to a kill and the tile's retry to a raise.
+        torn = tmp_path / "torn.json"
+        torn.write_text(json.dumps({"specs": [
+            {"site": "manifest_append", "action": "torn", "tile": [32, 16]},
+        ]}))
+        with pytest.raises(InjectedCrash):
+            cli.main(args + ["--fault-plan", str(torn)])
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps({"specs": [
+            {"site": "tile_compute", "action": "kill", "tile": [32, 16],
+             "attempts_below": 1},
+            {"site": "tile_compute", "action": "raise", "tile": [32, 16],
+             "attempts_below": 2},
+        ]}))
+        buf = io.StringIO()
+        reporters: list[ProgressReporter] = []
+
+        def reporter(**kwargs):
+            reporters.append(ProgressReporter(stream=buf, **kwargs))
+            return reporters[-1]
+
+        monkeypatch.setattr(cli, "ProgressReporter", reporter)
+        metrics = tmp_path / "m.json"
+        trace = tmp_path / "t.jsonl"
+        live = tmp_path / "live.json"
+        assert cli.main(args + [
+            "--resume", "--fault-plan", str(faults), "--max-retries", "3",
+            "--metrics-out", str(metrics), "--trace-out", str(trace),
+            "--live", str(live), "--progress",
+        ]) == 0
+
+        counters = json.loads(metrics.read_text())["counters"]
+        computed = counters["engine.tiles_computed"]
+        skipped = counters["engine.tiles_skipped"]
+        pairs = counters["engine.pairs_computed"]
+        retries = counters["engine.retries"]
+        respawns = counters["engine.worker_respawns"]
+        assert computed and skipped and retries and respawns
+
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        kinds = [e["kind"] for e in events]
+        assert kinds.count("tile_computed") == computed
+        assert kinds.count("tile_skipped") == skipped
+        assert sum(
+            e["pairs"] for e in events if e["kind"] == "tile_computed"
+        ) == pairs
+        assert kinds.count("tile_retry") == retries
+        assert kinds.count("worker_respawn") == respawns
+
+        snapshot = read_snapshot(live)
+        assert snapshot["phase"] == "done"
+        assert snapshot["tiles"]["done"] == computed
+        assert snapshot["tiles"]["skipped"] == skipped
+        assert snapshot["pairs"]["done"] == pairs
+        assert snapshot["retries"] == retries
+        assert snapshot["worker_respawns"] == respawns
+
+        (progress,) = reporters
+        assert progress.tiles_done == computed + skipped
+        assert progress.pairs_done == pairs + counters["engine.pairs_skipped"]
+        final_line = buf.getvalue().rsplit("\r", 1)[-1]
+        assert f" {computed + skipped}/{progress.tiles_total} tiles" in (
+            final_line
+        )
+
+        record = json.loads(
+            (tmp_path / "runs.jsonl").read_text().splitlines()[-1]
+        )
+        assert record["tiles"]["computed"] == computed
+        assert record["tiles"]["skipped"] == skipped
+        assert record["pairs_computed"] == pairs
+        assert record["tiles"]["retries"] == retries
+        assert record["run_id"] == snapshot["run_id"]

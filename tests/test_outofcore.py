@@ -28,7 +28,7 @@ from repro.core.streaming import NpyMemmapSink, stream_ld_blocks
 from repro.encoding.bitmatrix import BitMatrix
 from repro.faults import FaultPlan, FaultSpec, InjectedCrash
 from repro.io.panelstore import PANEL_MAGIC, PanelStore, pack_panel
-from repro.observe import MetricsRecorder, SpanProfiler
+from repro.observe import MetricsRecorder, SpanProfiler, profiling
 
 BLOCK = 64
 
@@ -470,12 +470,12 @@ class TestPrefetchAttribution:
         out = tmp_path / "attr.npy"
         with PanelStore.open(store_path) as store:
             n = store.n_snps
-        with NpyMemmapSink(out, n) as sink:
+        with NpyMemmapSink(out, n) as sink, profiling(profiler):
             run_engine(
                 str(store_path), sink, engine="threads", block_snps=BLOCK,
                 n_workers=2, manifest_path=tmp_path / "attr.manifest",
                 memory_budget=_quarter_budget(store_path),
-                recorder=recorder, profiler=profiler,
+                recorder=recorder,
             )
         totals = profiler.totals()
         assert "io.prefetch" in totals and totals["io.prefetch"]["count"] > 0
@@ -499,12 +499,12 @@ class TestPrefetchAttribution:
         import time as _time
 
         start = _time.perf_counter()
-        with NpyMemmapSink(out, n) as sink:
+        with NpyMemmapSink(out, n) as sink, profiling(profiler):
             report = run_engine(
                 str(store_path), sink, engine="serial", block_snps=BLOCK,
                 manifest_path=tmp_path / "prof.manifest",
                 memory_budget=_quarter_budget(store_path),
-                recorder=recorder, profiler=profiler,
+                recorder=recorder,
             )
         wall = _time.perf_counter() - start
         payload = build_profile_payload(

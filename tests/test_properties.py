@@ -7,7 +7,8 @@ implementation must satisfy, independent of the reference comparison:
 - allele-relabeling invariance of r² (swapping ancestral/derived at any
   SNP cannot change squared correlation);
 - duplicated SNPs are in complete LD (r² = 1);
-- r² lies in [0, 1] wherever defined;
+- r² lies in [0, 1] wherever defined — exactly, on every entry point —
+  and equals the caller's ``undefined`` on pairs with a monomorphic SNP;
 - blocked GEMM is exact integer arithmetic: results are identical for any
   blocking parameters and any kernel.
 """
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocking import BlockingParams
+from repro.core.engine import TileTask, compute_tile
 from repro.core.gemm import popcount_gemm
-from repro.core.ldmatrix import ld_matrix
+from repro.core.ldmatrix import as_bitmatrix, ld_matrix, ld_pairs
 from repro.encoding.bitmatrix import pack_bits
 
 PANEL = st.tuples(
@@ -84,6 +86,42 @@ def test_r2_bounds(panel):
     finite = r2[~np.isnan(r2)]
     assert np.all(finite >= -1e-12)
     assert np.all(finite <= 1.0 + 1e-9)
+
+
+@given(
+    panel=PANEL,
+    mono_seed=st.integers(min_value=0, max_value=2**31),
+    undefined=st.sampled_from([-1.0, 7.0]),
+)
+@settings(max_examples=50, deadline=None)
+def test_r2_in_unit_interval_on_every_entry_point(panel, mono_seed, undefined):
+    """No rounding above 1 (perfectly linked pairs, the diagonal above
+    all) and no value below 0 from ld_matrix, compute_tile or ld_pairs;
+    pairs touching a monomorphic SNP are exactly *undefined*."""
+    rng = np.random.default_rng(mono_seed)
+    panel = panel.copy()
+    mono = rng.random(panel.shape[1]) < 0.3
+    panel[:, mono] = rng.integers(0, 2, size=int(mono.sum()), dtype=np.uint8)
+    n = panel.shape[1]
+    counts = panel.sum(axis=0)
+    polymorphic = (counts > 0) & (counts < panel.shape[0])
+    defined = np.outer(polymorphic, polymorphic)
+
+    matrix = as_bitmatrix(panel)
+    tile = compute_tile(
+        matrix.words, matrix.allele_frequencies(), matrix.n_samples,
+        TileTask(0, n, 0, n), undefined=undefined,
+    )
+    ii, jj = np.tril_indices(n)
+    pairs = ld_pairs(panel, np.column_stack([ii, jj]), undefined=undefined)
+    for values, mask in (
+        (ld_matrix(panel, undefined=undefined), defined),
+        (tile, defined),
+        (pairs, defined[ii, jj]),
+    ):
+        assert np.all(values[mask] >= 0.0)
+        assert np.all(values[mask] <= 1.0)
+        assert np.all(values[~mask] == undefined)
 
 
 @given(panel=PANEL)

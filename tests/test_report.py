@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.engine import EngineReport, run_engine
 from repro.core.streaming import NpyMemmapSink
-from repro.observe import MetricsRecorder, SpanProfiler
+from repro.observe import MetricsRecorder, SpanProfiler, profiling
 from repro.observe.modelcheck import compare_phases_to_model
 from repro.observe.report import (
     build_profile_payload,
@@ -33,11 +33,12 @@ def panel(rng):
 def _profiled_run(panel, tmp_path, **kwargs):
     recorder = MetricsRecorder(keep_events=True)
     profiler = SpanProfiler()
-    with NpyMemmapSink(tmp_path / "ld.npy", panel.shape[1]) as sink:
+    with NpyMemmapSink(tmp_path / "ld.npy", panel.shape[1]) as sink, \
+            profiling(profiler):
         report = run_engine(
             panel, sink, block_snps=8,
             manifest_path=tmp_path / "ld.manifest",
-            recorder=recorder, profiler=profiler, **kwargs,
+            recorder=recorder, **kwargs,
         )
     workload = {
         "stat": "r2",

@@ -207,11 +207,11 @@ class TestEngineSpans:
     @pytest.mark.parametrize("engine", ["serial", "threads", "processes"])
     def test_phase_seconds_ship_back_from_every_engine(self, panel, engine):
         recorder = MetricsRecorder(keep_events=True)
-        profiler = SpanProfiler()
-        report = run_engine(
-            panel, lambda i, j, b: None, engine=engine, block_snps=8,
-            n_workers=2, recorder=recorder, profiler=profiler,
-        )
+        with profiling(SpanProfiler()):
+            report = run_engine(
+                panel, lambda i, j, b: None, engine=engine, block_snps=8,
+                n_workers=2, recorder=recorder,
+            )
         assert report.complete
         phases = _phases_of(recorder)
         assert {"tile", "stat", "gemm", "pack_a", "pack_b",
@@ -223,10 +223,11 @@ class TestEngineSpans:
         # Acceptance bar: the per-tile phase breakdown attributes the
         # tile's measured wall-clock to within 10%.
         recorder = MetricsRecorder(keep_events=True)
-        report = run_engine(
-            panel, lambda i, j, b: None, engine="serial", block_snps=8,
-            recorder=recorder, profiler=SpanProfiler(),
-        )
+        with profiling(SpanProfiler()):
+            report = run_engine(
+                panel, lambda i, j, b: None, engine="serial", block_snps=8,
+                recorder=recorder,
+            )
         assert report.complete
         events = [e for e in recorder.events if e["kind"] == "tile_computed"]
         assert events
@@ -240,11 +241,11 @@ class TestEngineSpans:
     def test_driver_spans_and_sink_mirror(self, panel, tmp_path):
         recorder = MetricsRecorder()
         profiler = SpanProfiler()
-        with NpyMemmapSink(tmp_path / "ld.npy", panel.shape[1]) as sink:
+        with NpyMemmapSink(tmp_path / "ld.npy", panel.shape[1]) as sink, \
+                profiling(profiler):
             report = run_engine(
                 panel, sink, engine="threads", block_snps=8, n_workers=2,
-                manifest_path=tmp_path / "ld.manifest",
-                recorder=recorder, profiler=profiler,
+                manifest_path=tmp_path / "ld.manifest", recorder=recorder,
             )
         assert report.complete
         totals = profiler.totals()
@@ -276,12 +277,13 @@ class TestEngineSpans:
         recorder = MetricsRecorder(keep_events=True)
         profiler = SpanProfiler()
         blocks: dict[tuple[int, int], np.ndarray] = {}
-        report = run_engine(
-            panel, lambda i, j, b: blocks.__setitem__((i, j), b.copy()),
-            engine="threads", block_snps=8, n_workers=2, batch_tiles=2,
-            max_retries=2, retry_backoff=0.0, faults=plan,
-            recorder=recorder, profiler=profiler,
-        )
+        with profiling(profiler):
+            report = run_engine(
+                panel, lambda i, j, b: blocks.__setitem__((i, j), b.copy()),
+                engine="threads", block_snps=8, n_workers=2, batch_tiles=2,
+                max_retries=2, retry_backoff=0.0, faults=plan,
+                recorder=recorder,
+            )
         assert report.complete and report.n_retries == 1
         assert report.n_batches >= 1
         assert recorder.event_count("tile_retry") == 1
