@@ -81,7 +81,6 @@ def sweep_scan(
     threshold: float | None = None,
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
-    n_threads: int = 1,
 ) -> SweepScanResult:
     """Scan a region for selective sweeps via ω on the GEMM LD matrix.
 
@@ -100,7 +99,7 @@ def sweep_scan(
     threshold:
         Candidate-region threshold; defaults to the 95th percentile of the
         scan's own ω values (a common empirical-outlier convention).
-    params, kernel, n_threads:
+    params, kernel:
         GEMM engine knobs, forwarded to the LD computation.
     """
     matrix = as_bitmatrix(data)
@@ -108,7 +107,7 @@ def sweep_scan(
         positions = np.arange(matrix.n_snps, dtype=np.float64)
     else:
         positions = np.asarray(positions, dtype=np.float64)
-    result = compute_ld(matrix, params=params, kernel=kernel, n_threads=n_threads)
+    result = compute_ld(matrix, params=params, kernel=kernel)
     r2 = result.r2()
     omegas, splits = omega_scan_from_ld(
         r2, positions, np.linspace(positions[0], positions[-1], grid_size),

@@ -14,7 +14,6 @@ prune        PLINK-style LD pruning → kept SNP indices
 blocks       haplotype-block partition → .tsv
 decay        LD-decay curve → .tsv
 model        machine-model report (%-of-peak, SIMD analysis, GPU roofline)
-tune         time the blocking candidate grid, persist the per-machine winner
 profile      run an LD workload with span profiling on → repro-profile/1 JSON
 report       render any metrics/trace/profile/bench artifact as text
 ===========  ================================================================
@@ -40,9 +39,8 @@ from repro.analysis.haplotype_blocks import find_haplotype_blocks
 from repro.analysis.ldprune import ld_prune
 from repro.analysis.sweeps import sweep_scan
 from repro.core.banding import BandSpec, dense_pair_cells
-from repro.core.blocking import DEFAULT_BLOCKING
 from repro.core.engine import ENGINE_ALIASES, ENGINES, run_engine
-from repro.core.gemm import DEFAULT_KERNEL, GEMM_KERNELS
+from repro.core.gemm import DEFAULT_KERNEL, resolve_blocking
 from repro.faults import FaultPlan
 from repro.core.ldmatrix import as_bitmatrix, ld_matrix
 from repro.core.streaming import BandedNpySink, NpyMemmapSink
@@ -206,7 +204,6 @@ def _resolve_band(
 def _cmd_ld_engine(
     args: argparse.Namespace,
     panel: BitMatrix,
-    params=None,
     *,
     data=None,
     memory_budget: int | None = None,
@@ -221,11 +218,6 @@ def _cmd_ld_engine(
     if args.stat not in ("r2", "D", "H"):
         raise SystemExit(f"--engine supports --stat r2/D/H, not {args.stat!r}")
     band = _resolve_band(args, positions)
-    if args.threads != 1:
-        raise SystemExit(
-            "--engine schedules its own worker pool; use --workers, not "
-            "--threads"
-        )
     manifest = Path(args.manifest) if args.manifest else Path(f"{out}.manifest")
     mode = "r+" if args.resume and out.exists() else "w+"
     max_retries = 2 if args.max_retries is None else args.max_retries
@@ -290,7 +282,6 @@ def _cmd_ld_engine(
                 n_workers=args.workers,
                 memory_budget=memory_budget,
                 batch_tiles=args.batch_tiles,
-                params=params,
                 band=band,
                 resume=args.resume,
                 manifest_path=manifest,
@@ -317,9 +308,7 @@ def _cmd_ld_engine(
             band=band, band_width=band_width,
         )
     if args.profile_out:
-        _write_engine_profile(
-            args, panel, report, recorder, profiler, wall, params
-        )
+        _write_engine_profile(args, panel, report, recorder, profiler, wall)
     if band is not None:
         shape = f"banded ({panel.n_snps}, {band_width + 1}) " \
                 f"[{band.describe()}, {report.n_pruned} tiles pruned]"
@@ -375,7 +364,7 @@ def _append_run_record(
             and wall_seconds > 0):
         percent_of_peak = compare_to_model(
             panel.n_snps, panel.n_snps, panel.n_words, wall_seconds,
-            params=DEFAULT_BLOCKING, symmetric=True,
+            params=resolve_blocking(None, DEFAULT_KERNEL), symmetric=True,
         ).measured_percent_of_peak
     band_desc = band.describe() if band is not None else None
     record = {
@@ -454,7 +443,7 @@ def _write_engine_metrics(
             and wall_seconds > 0):
         model = compare_to_model(
             panel.n_snps, panel.n_snps, panel.n_words, wall_seconds,
-            params=DEFAULT_BLOCKING, symmetric=True,
+            params=resolve_blocking(None, DEFAULT_KERNEL), symmetric=True,
         ).as_dict()
     payload = {
         "schema": "repro-ld-metrics/1",
@@ -523,7 +512,6 @@ def _write_engine_profile(
     recorder: MetricsRecorder,
     profiler: SpanProfiler,
     wall_seconds: float,
-    params,
 ) -> None:
     """Serialize the run's phase attribution as ``repro-profile/1``."""
     from repro.observe.report import build_profile_payload
@@ -534,7 +522,6 @@ def _write_engine_profile(
         report=report,
         wall_seconds=wall_seconds,
         workload=_workload_dict(args, panel),
-        params=params if params is not None else DEFAULT_BLOCKING,
     )
     Path(args.profile_out).write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
@@ -589,19 +576,10 @@ def _cmd_ld(args: argparse.Namespace) -> int:
             idx = np.flatnonzero(np.minimum(freqs, 1.0 - freqs) >= args.maf)
             panel = panel.select(idx)
             positions = positions[idx]
-    params = None
-    if args.autotune:
-        # First run pays the timed search and persists the winner; every
-        # later run reloads the identical parameters from the profile.
-        from repro.core.tuning import profile_path, tuned_blocking
-
-        params = tuned_blocking(DEFAULT_KERNEL)
-        print(f"ld: autotuned blocking mc={params.mc} nc={params.nc} "
-              f"kc={params.kc} (profile: {profile_path()})", file=sys.stderr)
     if args.engine:
         try:
             return _cmd_ld_engine(
-                args, panel, params=params,
+                args, panel,
                 data=store if store is not None else panel,
                 memory_budget=memory_budget,
                 positions=positions,
@@ -631,13 +609,11 @@ def _cmd_ld(args: argparse.Namespace) -> int:
             "serial|threads|persistent"
         )
     if args.window:
-        band = banded_ld(panel, window=args.window, stat=args.stat,
-                         params=params)
+        band = banded_ld(panel, window=args.window, stat=args.stat)
         matrix = band.values
         kind = f"banded (window {args.window}, diagonal-major)"
     else:
-        matrix = ld_matrix(panel, stat=args.stat, n_threads=args.threads,
-                           params=params)
+        matrix = ld_matrix(panel, stat=args.stat)
         kind = "full"
     out = Path(args.out)
     _save_matrix(matrix, out)
@@ -704,38 +680,6 @@ def _cmd_decay(args: argparse.Namespace) -> int:
     )
     print(f"decay: {args.bins} bins, half-decay distance "
           f"{curve.half_decay_distance():.4g} -> {out}")
-    return 0
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.core.tuning import (
-        DEFAULT_TUNE_SHAPE,
-        autotune,
-        machine_fingerprint,
-        profile_path,
-        save_profile,
-    )
-
-    shape = tuple(args.shape) if args.shape else DEFAULT_TUNE_SHAPE
-    result = autotune(
-        args.kernel, shape=shape, repeats=args.repeats,
-        budget_seconds=args.budget_seconds,
-    )
-    print(f"tune: kernel={args.kernel} shape={shape} "
-          f"fingerprint={machine_fingerprint()}")
-    for timing in result.candidates:
-        p = timing.params
-        marker = " <- best" if p == result.params else ""
-        print(f"  mc={p.mc:<5d} nc={p.nc:<5d} kc={p.kc:<4d} "
-              f"mr={p.mr:<3d} nr={p.nr:<3d} "
-              f"{timing.seconds:8.4f} s  "
-              f"{timing.words_per_second / 1e9:7.2f} Gword/s{marker}")
-    if args.dry_run:
-        print("tune: dry run, profile not written")
-    else:
-        target = save_profile(result)
-        print(f"tune: best blocking persisted to {target} "
-              f"(reloaded automatically by ld --autotune)")
     return 0
 
 
@@ -1061,7 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "resolved against the panel's positions "
                         "(requires --engine; tiles outside the band are "
                         "pruned, never computed)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--maf", type=float, default=0.0,
                    help="drop SNPs below this minor-allele frequency")
     p.add_argument("--drop-monomorphic", action="store_true")
@@ -1113,10 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-tiles", type=int, default=None, metavar="N",
                    help="tiles dispatched per worker submission "
                         "(--engine threads/persistent; default: auto)")
-    p.add_argument("--autotune", action="store_true",
-                   help="use the persisted per-machine tuned blocking, "
-                        "running the timed search first if absent "
-                        "(see `repro tune`)")
     p.set_defaults(func=_cmd_ld)
 
     p = sub.add_parser("scan", help="omega-statistic sweep scan")
@@ -1189,24 +1128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snps", type=int, default=4096)
     p.add_argument("--samples", type=int, default=10000)
     p.set_defaults(func=_cmd_model)
-
-    p = sub.add_parser(
-        "tune",
-        help="time the blocking candidate grid and persist the winner",
-    )
-    p.add_argument("--kernel", choices=GEMM_KERNELS, default=DEFAULT_KERNEL)
-    p.add_argument("--shape", type=int, nargs=3, default=None,
-                   metavar=("M", "N", "K"),
-                   help="timing shape in SNPs x SNPs x words "
-                        "(default: 1024 1024 32)")
-    p.add_argument("--repeats", type=int, default=2,
-                   help="timings per candidate; best is kept")
-    p.add_argument("--budget-seconds", type=float, default=None,
-                   help="stop the search after this many seconds "
-                        "(already-timed candidates still compete)")
-    p.add_argument("--dry-run", action="store_true",
-                   help="print the timing table without writing the profile")
-    p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser(
         "top",

@@ -73,11 +73,6 @@ from repro.core.microkernel import (
     microkernel_numpy,
     microkernel_scalar,
 )
-from repro.core.parallel import (
-    popcount_gemm_parallel,
-    partition_ranges,
-    partition_triangle_rows,
-)
 from repro.core.streaming import (
     BandedNpySink,
     NpyMemmapSink,
@@ -142,9 +137,6 @@ __all__ = [
     "MICRO_KERNELS",
     "microkernel_numpy",
     "microkernel_scalar",
-    "popcount_gemm_parallel",
-    "partition_ranges",
-    "partition_triangle_rows",
     "BandedLDMatrix",
     "banded_ld",
     "write_banded_block",

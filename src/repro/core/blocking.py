@@ -143,8 +143,7 @@ MICRO_BLOCKING = BlockingParams(mc=256, nc=2048, kc=256, mr=8, nr=8)
 #: k-chunk, and larger blocks hand BLAS larger matrices. ``kc`` is short:
 #: each ``kc`` chunk of 64-allele words expands 64× when unpacked to bit
 #: planes, and kc=64 keeps one expanded operand panel inside the LLC.
-#: ``mr``/``nr`` only affect the popcount fall-back path and the operation
-#: counts; the BLAS contraction has no register tile of its own. Values
-#: selected empirically (see benchmarks/BENCH_gemm.json); ``repro tune`` can
-#: re-derive them per machine.
+#: ``mr``/``nr`` only affect the operation counts; the BLAS contraction has
+#: no register tile of its own. Values selected empirically (see
+#: benchmarks/BENCH_gemm.json).
 FUSED_BLOCKING = BlockingParams(mc=2048, nc=4096, kc=64, mr=8, nr=8)

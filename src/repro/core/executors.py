@@ -471,9 +471,7 @@ def _persistent_worker_main(
 def _largest_first(tiles: list[TileTask]) -> list[TileTask]:
     """Schedule big tiles first (LPT rule) so fringe slivers fill the tail.
 
-    The same load-balancing idea as :func:`repro.core.parallel.
-    partition_triangle_rows`, applied to a discrete tile list: the only
-    imbalance left is at most one tile per worker.
+    The only imbalance left is at most one tile per worker.
     """
     return sorted(tiles, key=lambda t: (-t.n_pairs, t.i0, t.j0))
 

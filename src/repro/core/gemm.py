@@ -19,14 +19,12 @@ packed words — Figure 2), computing ``GᵀG`` is already the rank-k update
 shape GotoBLAS optimizes (Section III-B): both inputs here are ``(snps,
 words)`` and the contraction runs over words.
 
-Four interchangeable kernels drive the nest (:data:`GEMM_KERNELS`):
+Three interchangeable kernels drive the nest (:data:`GEMM_KERNELS`):
 
 - ``"fused"`` (default): the bit-plane BLAS macro-kernel
   (:func:`repro.core.macrokernel.macrokernel_fused`) — whole cache blocks
   per call, zero hot-loop allocation, exact by the float32 integer-range
   argument documented there.
-- ``"fused-popcount"``: the allocation-free AND/POPCNT/SUM macro-kernel,
-  same instruction mix the machine model prices.
 - ``"numpy"`` / ``"scalar"``: the original per-micro-tile kernels from
   :mod:`repro.core.microkernel`, kept as the executable specification and
   differential-test oracles.
@@ -51,7 +49,6 @@ from repro.core.blocking import DEFAULT_BLOCKING, FUSED_BLOCKING, BlockingParams
 from repro.core.macrokernel import (
     GemmWorkspace,
     macrokernel_fused,
-    macrokernel_popcount,
     shared_workspace,
 )
 from repro.core.microkernel import MICRO_KERNELS
@@ -60,7 +57,6 @@ from repro.observe.spans import span
 
 __all__ = [
     "DEFAULT_KERNEL",
-    "FUSED_KERNELS",
     "GEMM_KERNELS",
     "GemmCounts",
     "popcount_gemm",
@@ -70,11 +66,8 @@ __all__ = [
     "resolve_blocking",
 ]
 
-#: Macro-kernel-driven kernels (block-at-a-time, workspace scratch).
-FUSED_KERNELS = ("fused", "fused-popcount")
-
 #: All kernels accepted by the blocked drivers, fastest first.
-GEMM_KERNELS = FUSED_KERNELS + tuple(MICRO_KERNELS)
+GEMM_KERNELS = ("fused", *MICRO_KERNELS)
 
 #: Production default: the bit-plane BLAS macro-kernel.
 DEFAULT_KERNEL = "fused"
@@ -85,15 +78,14 @@ def resolve_blocking(
 ) -> BlockingParams:
     """The blocking to use for *kernel* when the caller passed ``None``.
 
-    Fused macro-kernels want large ``mc``/``nc`` blocks and short ``kc``
-    chunks (:data:`repro.core.blocking.FUSED_BLOCKING`); the per-tile micro
-    kernels keep the historical :data:`~repro.core.blocking.DEFAULT_BLOCKING`.
-    A tuned profile (see :mod:`repro.core.tuning`) is *not* consulted here —
-    tuning is opt-in via ``repro tune`` / ``ld --autotune``.
+    The fused macro-kernel wants large ``mc``/``nc`` blocks and short
+    ``kc`` chunks (:data:`repro.core.blocking.FUSED_BLOCKING`); the per-tile
+    micro kernels keep the historical
+    :data:`~repro.core.blocking.DEFAULT_BLOCKING`.
     """
     if params is not None:
         return params
-    return FUSED_BLOCKING if kernel in FUSED_KERNELS else DEFAULT_BLOCKING
+    return FUSED_BLOCKING if kernel == "fused" else DEFAULT_BLOCKING
 
 
 def _check_operands(a_words: np.ndarray, b_words: np.ndarray) -> tuple[int, int, int]:
@@ -188,28 +180,28 @@ def _run_kernel(
     *,
     symmetric: bool,
 ) -> int:
-    """Dispatch one full GEMM over column strips; returns tile visits."""
-    m, n = c.shape
+    """Dispatch one full GEMM over column strips.
+
+    Returns the micro-tile visits of the ``numpy``/``scalar`` drivers; the
+    fused kernel has no micro-tiles and returns 0.
+    """
     if kernel in MICRO_KERNELS:
         return _gemm_micro(
             a_words, b_rows, c, params, kernel, workspace, symmetric=symmetric
         )
-    macro = macrokernel_fused if kernel == "fused" else macrokernel_popcount
-    tile_visits = 0
+    n = c.shape[1]
     for jc in range(0, n, params.nc):
         nc_eff = min(params.nc, n - jc)
-        visits = macro(
+        macrokernel_fused(
             a_words,
             b_rows[jc : jc + nc_eff],
             c[:, jc : jc + nc_eff],
             params,
             workspace,
-            row_offset=0,
             col_offset=jc,
             symmetric=symmetric,
         )
-        tile_visits += visits or 0
-    return tile_visits
+    return 0
 
 
 def popcount_gemm(
@@ -232,8 +224,8 @@ def popcount_gemm(
         the per-kernel default via :func:`resolve_blocking`.
     kernel:
         One of :data:`GEMM_KERNELS` — ``"fused"`` (bit-plane BLAS macro,
-        default), ``"fused-popcount"``, ``"numpy"``, or ``"scalar"``. All
-        produce bit-identical results.
+        default), ``"numpy"``, or ``"scalar"``. All produce bit-identical
+        results.
     workspace:
         Scratch pools to carve from; ``None`` uses the calling thread's
         persistent :func:`~repro.core.macrokernel.shared_workspace`.

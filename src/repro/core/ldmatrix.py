@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.blocking import BlockingParams
-from repro.core.gemm import DEFAULT_KERNEL
-from repro.core.parallel import popcount_gemm_parallel
+from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm, popcount_gram
 from repro.core.stats import d_matrix, d_prime_matrix, r_squared_matrix
 from repro.encoding.bitmatrix import BitMatrix
 
@@ -104,20 +103,19 @@ def compute_ld(
     *,
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
-    n_threads: int = 1,
 ) -> LDResult:
     """Run the GEMM pipeline and return the full :class:`LDResult`.
 
-    With *other* omitted this is the symmetric single-region case (Fig. 3);
-    with *other* given, the two-region cross case (Fig. 4).
+    With *other* omitted this is the symmetric single-region case (Fig. 3),
+    computed as a Gram over the lower triangle and mirrored; with *other*
+    given, the two-region cross case (Fig. 4). Threading comes from the
+    BLAS library behind the fused kernel's ``sgemm``.
     """
     a = as_bitmatrix(data)
     if a.n_samples == 0:
         raise ValueError("LD undefined for zero samples")
     if other is None:
-        counts = popcount_gemm_parallel(
-            a.words, None, n_threads=n_threads, params=params, kernel=kernel
-        )
+        counts = popcount_gram(a.words, params=params, kernel=kernel)
         p = a.allele_frequencies()
         return LDResult(counts=counts, p=p, q=p, n_samples=a.n_samples)
     b = as_bitmatrix(other)
@@ -126,9 +124,7 @@ def compute_ld(
             f"sample counts differ: {a.n_samples} vs {b.n_samples}; "
             "cross-LD requires one shared sample set"
         )
-    counts = popcount_gemm_parallel(
-        a.words, b.words, n_threads=n_threads, params=params, kernel=kernel
-    )
+    counts = popcount_gemm(a.words, b.words, params=params, kernel=kernel)
     return LDResult(
         counts=counts,
         p=a.allele_frequencies(),
@@ -143,7 +139,6 @@ def ld_matrix(
     *,
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
-    n_threads: int = 1,
     undefined: float = np.nan,
 ) -> np.ndarray:
     """All-pairs LD matrix over one SNP region (the headline operation).
@@ -156,14 +151,14 @@ def ld_matrix(
     stat:
         ``"r2"`` (default, Equation 2), ``"D"`` (Equation 1), ``"Dprime"``,
         or ``"H"`` (raw haplotype frequencies).
-    params, kernel, n_threads:
-        GEMM engine knobs (blocking parameters, micro-kernel, threads).
+    params, kernel:
+        GEMM engine knobs (blocking parameters, micro-kernel).
     undefined:
         Fill value for pairs involving monomorphic SNPs (r²/D' only).
     """
-    return compute_ld(
-        data, params=params, kernel=kernel, n_threads=n_threads
-    ).stat(stat, undefined=undefined)
+    return compute_ld(data, params=params, kernel=kernel).stat(
+        stat, undefined=undefined
+    )
 
 
 def ld_cross(
@@ -173,7 +168,6 @@ def ld_cross(
     *,
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
-    n_threads: int = 1,
     undefined: float = np.nan,
 ) -> np.ndarray:
     """LD between SNPs of two regions/matrices over the same samples (Fig. 4).
@@ -181,9 +175,9 @@ def ld_cross(
     Computes the full ``m × n`` rectangle (no symmetry), supporting the
     paper's long-range-LD and distant-gene-association use case.
     """
-    return compute_ld(
-        a, b, params=params, kernel=kernel, n_threads=n_threads
-    ).stat(stat, undefined=undefined)
+    return compute_ld(a, b, params=params, kernel=kernel).stat(
+        stat, undefined=undefined
+    )
 
 
 def ld_pairs(

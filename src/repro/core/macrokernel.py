@@ -1,4 +1,4 @@
-"""Fused macro-kernels: whole cache blocks per call, zero hot-loop allocation.
+"""Fused macro-kernel: whole cache blocks per call, zero hot-loop allocation.
 
 The micro-kernel layer (:mod:`repro.core.microkernel`) pays interpreter and
 allocator overhead per ``m_r × n_r`` tile. This module raises the unit of
@@ -7,31 +7,21 @@ block, chunked over k), with every temporary carved from a caller-owned
 :class:`GemmWorkspace` — after warm-up the hot loop performs **zero**
 allocations.
 
-Two macro-kernels are provided:
+:func:`macrokernel_fused` expands each k-chunk of packed words to 0/1
+*bit planes* in float32 — one gather per operand from a constant
+256 × 8 byte-to-planes table — and contracts each ``m_c`` block with one
+BLAS ``sgemm`` (``np.matmul``) per k-chunk. This is exact, not
+approximate: every partial product is 0 or 1 and every partial sum is an
+integer bounded by ``64 · k_chunk ≤ 2²⁴``, below the float32
+integer-exactness limit, so the result is bit-identical to the popcount
+formulation regardless of BLAS summation order or threading. It restates
+the paper's thesis — LD *is* dense linear algebra — by handing the inner
+loop to the best dense kernel on the machine.
 
-``macrokernel_fused``
-    The production path. Each k-chunk of packed words is expanded to 0/1
-    *bit planes* in float32 — one gather per operand from a constant
-    256 × 8 byte-to-planes table — and each ``m_c`` block is contracted
-    with one BLAS ``sgemm`` (``np.matmul``) per k-chunk. This is exact, not
-    approximate: every partial product is 0 or 1 and every partial sum is
-    an integer bounded by ``64 · k_chunk ≤ 2²⁴``, below the float32
-    integer-exactness limit, so the result is bit-identical to the popcount
-    formulation regardless of BLAS summation order or threading. It
-    restates the paper's thesis — LD *is* dense linear algebra — by handing
-    the inner loop to the best dense kernel on the machine.
-
-``macrokernel_popcount``
-    The same block walk in the AND/POPCNT/SUM instruction mix of the paper's
-    kernel, vectorized over short k-chunks with preallocated ``out=``
-    buffers. Slower than the bit-plane path in pure numpy but allocation-free
-    and structurally identical to :func:`repro.core.gemm.gemm_operation_counts`,
-    which the machine model prices.
-
-Both operate on SNP-major operands: ``a_words (m, k)`` and ``b_rows (n, k)``
+It operates on SNP-major operands: ``a_words (m, k)`` and ``b_rows (n, k)``
 uint64, accumulating into an exact ``(m, n_c)`` int64 column strip of C —
-no full padded C matrix exists anywhere (fringe padding lives only in the
-workspace-carved packed slivers / accumulator block).
+no full padded C matrix exists anywhere (the bit-plane panels and the
+float32 block accumulator live only in the workspace).
 """
 
 from __future__ import annotations
@@ -41,14 +31,12 @@ import threading
 import numpy as np
 
 from repro.core.blocking import BlockingParams
-from repro.core.packing import pack_block_a_into
 from repro.observe.spans import span
 
 __all__ = [
     "GemmWorkspace",
     "shared_workspace",
     "macrokernel_fused",
-    "macrokernel_popcount",
     "mirror_lower_inplace",
 ]
 
@@ -69,11 +57,6 @@ _EXACT_KC_WORDS = 1 << 18
 #: ``_PANEL_BUDGET_WORDS · 64`` bits (= 128 MiB of float32) regardless of how
 #: large a ``kc`` the caller requests.
 _PANEL_BUDGET_WORDS = 1 << 19
-
-#: Inner k-chunk (words) for the popcount macro-kernel: short chunks keep the
-#: (chunk, mr, nr) joint/popcount temporaries L1/L2-resident (measured best
-#: on the reference machine; see benchmarks/BENCH_gemm.json).
-_POPCOUNT_K_CHUNK = 8
 
 
 class GemmWorkspace:
@@ -239,93 +222,6 @@ def macrokernel_fused(
             with span("copy_out"):
                 block = c_strip[ic : ic + mc_eff]
                 np.add(block, c_f32, out=block, casting="unsafe")
-
-
-def macrokernel_popcount(
-    a_words: np.ndarray,
-    b_rows: np.ndarray,
-    c_strip: np.ndarray,
-    params: BlockingParams,
-    workspace: GemmWorkspace,
-    *,
-    row_offset: int = 0,
-    col_offset: int = 0,
-    symmetric: bool = False,
-) -> int:
-    """AND/POPCNT/SUM macro-kernel over one column strip, allocation-free.
-
-    Walks the same jc-strip × pc × ic × (jr, ir) structure that
-    :func:`repro.core.gemm.gemm_operation_counts` prices (including the
-    symmetric tile-skip rule), with packed slivers, joint/popcount
-    temporaries, and the padded C accumulator all carved from *workspace*.
-    Returns the number of micro-tile visits (one per tile per pc chunk) so
-    drivers can cross-check the operation-count model.
-    """
-    m, k = a_words.shape
-    n_eff = b_rows.shape[0]
-    if m == 0 or n_eff == 0 or k == 0:
-        return 0
-    mc, kc, mr, nr = params.mc, params.kc, params.mr, params.nr
-    sb_max = (n_eff + nr - 1) // nr
-    tile_visits = 0
-    joint = workspace.carve(
-        "pop.joint", np.uint64, (_POPCOUNT_K_CHUNK, mr, nr)
-    )
-    pop = workspace.carve("pop.pop", np.uint8, (_POPCOUNT_K_CHUNK, mr, nr))
-    tsum = workspace.carve("pop.tsum", np.int64, (mr, nr))
-    for pc in range(0, k, kc):
-        kc_eff = min(kc, k - pc)
-        with span("pack_b"):
-            pb_pool = workspace.carve(
-                "pop.b_pack", np.uint64, (sb_max, kc_eff, nr)
-            )
-            packed_b = pack_block_a_into(
-                b_rows[:, pc : pc + kc_eff], nr, pb_pool
-            )
-        for ic in range(0, m, mc):
-            mc_eff = min(mc, m - ic)
-            if symmetric and row_offset + ic + mc_eff <= col_offset:
-                continue
-            with span("pack_a"):
-                sa = (mc_eff + mr - 1) // mr
-                pa_pool = workspace.carve(
-                    "pop.a_pack", np.uint64, (sa, kc_eff, mr)
-                )
-                packed_a = pack_block_a_into(
-                    a_words[ic : ic + mc_eff, pc : pc + kc_eff], mr, pa_pool
-                )
-            # One span per (pc, ic) block, not per micro-tile: the tile
-            # loop is the hot path the zero-allocation test pins.
-            with span("pop_kernel"):
-                c_pad = workspace.carve(
-                    "pop.c_pad", np.int64, (sa * mr, packed_b.shape[0] * nr)
-                )
-                c_pad[...] = 0
-                for jr in range(packed_b.shape[0]):
-                    j0 = jr * nr
-                    b_micro = packed_b[jr]
-                    for ir in range(sa):
-                        i0 = ir * mr
-                        if symmetric and row_offset + ic + i0 + mr <= col_offset + j0:
-                            continue
-                        tile_visits += 1
-                        c_tile = c_pad[i0 : i0 + mr, j0 : j0 + nr]
-                        for p0 in range(0, kc_eff, _POPCOUNT_K_CHUNK):
-                            width = min(_POPCOUNT_K_CHUNK, kc_eff - p0)
-                            np.bitwise_and(
-                                packed_a[ir][p0 : p0 + width, :, None],
-                                b_micro[p0 : p0 + width, None, :],
-                                out=joint[:width],
-                            )
-                            np.bitwise_count(joint[:width], out=pop[:width])
-                            np.sum(
-                                pop[:width], axis=0, dtype=np.int64, out=tsum
-                            )
-                            c_tile += tsum
-            with span("copy_out"):
-                block = c_strip[ic : ic + mc_eff]
-                np.add(block, c_pad[:mc_eff, :n_eff], out=block)
-    return tile_visits
 
 
 def mirror_lower_inplace(c: np.ndarray, *, block: int = 256) -> np.ndarray:

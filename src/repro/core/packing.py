@@ -14,11 +14,9 @@ are zero-padded to full width — zero words are inert under AND/POPCNT, so the
 micro-kernel never needs a fringe case, mirroring how BLIS handles edge tiles.
 
 Packing is vectorized: full slivers move through one view-preserving
-``reshape``/``transpose`` assignment instead of a per-sliver Python loop, and
-the ``*_into`` variants write into caller-owned scratch (see
-:class:`repro.core.macrokernel.GemmWorkspace`) so the hot loop performs no
-allocation. When a B sliver is already contiguous in micro-panel order the
-copy is skipped entirely and a view is returned.
+``reshape``/``transpose`` assignment instead of a per-sliver Python loop.
+When a B sliver is already contiguous in micro-panel order the copy is
+skipped entirely and a view is returned.
 
 Elements here are ``uint64`` packed-allele words; the layout math is identical
 to the double-precision original.
@@ -30,51 +28,10 @@ import numpy as np
 
 __all__ = [
     "pack_block_a",
-    "pack_block_a_into",
     "pack_panel_b",
-    "pack_panel_b_into",
     "micropanel_a",
     "micropanel_b",
 ]
-
-
-def _pack_rows_into(words: np.ndarray, mr: int, out: np.ndarray) -> np.ndarray:
-    """Pack row-major ``(m, k)`` *words* into ``out[:ceil(m/mr), :k, :mr]``.
-
-    Full slivers are written through a single transposed-view assignment
-    (no temporaries); only the fringe sliver takes a separate (still
-    vectorized) path. Returns the trimmed ``(n_slivers, k, mr)`` view.
-    """
-    m, k = words.shape
-    n_full = m // mr
-    n_slivers = (m + mr - 1) // mr
-    packed = out[:n_slivers, :k]
-    if n_full:
-        # (n_full, k, mr) viewed as (n_full, mr, k): axis-0 split keeps the
-        # source a view, so the assignment is one strided copy.
-        packed[:n_full].transpose(0, 2, 1)[...] = words[: n_full * mr].reshape(
-            n_full, mr, k
-        )
-    rem = m - n_full * mr
-    if rem:
-        packed[n_full, :, :rem] = words[n_full * mr :].T
-        packed[n_full, :, rem:] = 0
-    return packed
-
-
-def pack_block_a_into(
-    a_words: np.ndarray, mr: int, out: np.ndarray
-) -> np.ndarray:
-    """Pack an ``(m, k)`` block of A into preallocated micro-panel scratch.
-
-    ``out`` must be a ``uint64`` buffer of shape at least
-    ``(ceil(m / mr), k, mr)``; the trimmed packed view is returned. Layout
-    matches :func:`pack_block_a` exactly.
-    """
-    a_words = np.asarray(a_words, dtype=np.uint64)
-    if a_words.ndim != 2:
-        raise ValueError(f"A block must be 2-D, got shape {a_words.shape}")
-    return _pack_rows_into(a_words, mr, out)
 
 
 def pack_block_a(a_words: np.ndarray, mr: int) -> np.ndarray:
@@ -89,19 +46,29 @@ def pack_block_a(a_words: np.ndarray, mr: int) -> np.ndarray:
     if a_words.ndim != 2:
         raise ValueError(f"A block must be 2-D, got shape {a_words.shape}")
     m, k = a_words.shape
-    n_slivers = (m + mr - 1) // mr
-    packed = np.empty((n_slivers, k, mr), dtype=np.uint64)
-    return _pack_rows_into(a_words, mr, packed)
+    n_full = m // mr
+    packed = np.empty(((m + mr - 1) // mr, k, mr), dtype=np.uint64)
+    if n_full:
+        # (n_full, k, mr) viewed as (n_full, mr, k): axis-0 split keeps the
+        # source a view, so the assignment is one strided copy.
+        packed[:n_full].transpose(0, 2, 1)[...] = a_words[
+            : n_full * mr
+        ].reshape(n_full, mr, k)
+    rem = m - n_full * mr
+    if rem:
+        packed[n_full, :, :rem] = a_words[n_full * mr :].T
+        packed[n_full, :, rem:] = 0
+    return packed
 
 
-def pack_panel_b_into(
-    b_words: np.ndarray, nr: int, out: np.ndarray
-) -> np.ndarray:
-    """Pack a ``(k, n)`` panel of B into preallocated micro-panel scratch.
+def pack_panel_b(b_words: np.ndarray, nr: int) -> np.ndarray:
+    """Pack a ``(k, n)`` panel of B into micro-panel order.
 
-    When the panel is a single full sliver (``n == nr``) and already
-    C-contiguous, it *is* its own micro-panel: the copy is skipped and a
-    reshaped view of the input is returned instead of touching ``out``.
+    Returns shape ``(ceil(n / nr), k, nr)`` — sliver-major, then k, then
+    column-within-sliver — zero-padded in the last sliver. When the panel
+    is a single full sliver (``n == nr``) and already C-contiguous, it *is*
+    its own micro-panel: the copy is skipped and a reshaped view of the
+    input is returned.
     """
     b_words = np.asarray(b_words, dtype=np.uint64)
     if b_words.ndim != 2:
@@ -109,9 +76,8 @@ def pack_panel_b_into(
     k, n = b_words.shape
     if n == nr and b_words.flags.c_contiguous:
         return b_words.reshape(1, k, nr)
-    n_slivers = (n + nr - 1) // nr
     n_full = n // nr
-    packed = out[:n_slivers, :k]
+    packed = np.empty(((n + nr - 1) // nr, k, nr), dtype=np.uint64)
     if n_full:
         # Splitting the unit-stride column axis keeps the source a view, so
         # the assignment is one strided copy with no temporary.
@@ -122,24 +88,6 @@ def pack_panel_b_into(
         packed[n_full, :, :rem] = b_words[:, n_full * nr :]
         packed[n_full, :, rem:] = 0
     return packed
-
-
-def pack_panel_b(b_words: np.ndarray, nr: int) -> np.ndarray:
-    """Pack a ``(k, n)`` panel of B into micro-panel order.
-
-    Returns shape ``(ceil(n / nr), k, nr)`` — sliver-major, then k, then
-    column-within-sliver — zero-padded in the last sliver. Contiguous
-    single-sliver panels are returned as views without copying.
-    """
-    b_words = np.asarray(b_words, dtype=np.uint64)
-    if b_words.ndim != 2:
-        raise ValueError(f"B panel must be 2-D, got shape {b_words.shape}")
-    k, n = b_words.shape
-    if n == nr and b_words.flags.c_contiguous:
-        return b_words.reshape(1, k, nr)
-    n_slivers = (n + nr - 1) // nr
-    packed = np.empty((n_slivers, k, nr), dtype=np.uint64)
-    return pack_panel_b_into(b_words, nr, packed)
 
 
 def micropanel_a(packed_a: np.ndarray, sliver: int) -> np.ndarray:

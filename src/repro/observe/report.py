@@ -32,7 +32,8 @@ import json
 import math
 from pathlib import Path
 
-from repro.core.blocking import BlockingParams, DEFAULT_BLOCKING
+from repro.core.blocking import BlockingParams
+from repro.core.gemm import DEFAULT_KERNEL, resolve_blocking
 from repro.observe.modelcheck import compare_phases_to_model, compare_to_model
 
 __all__ = [
@@ -305,15 +306,16 @@ def build_profile_payload(
         they fix the roofline's GEMM shape — everything else (engine,
         workers, stat, samples, block size) is carried through verbatim.
     params:
-        Blocking the run executed (default ``DEFAULT_BLOCKING``), so the
-        model charges the fringe padding that actually ran.
+        Blocking the run executed (default: the engine's, i.e.
+        ``resolve_blocking(None, DEFAULT_KERNEL)``), so the model charges
+        the fringe padding that actually ran.
     """
     if wall_seconds <= 0:
         raise ValueError(f"wall_seconds must be positive, got {wall_seconds}")
     for key in ("n_snps", "k_words"):
         if key not in workload:
             raise ValueError(f"workload must carry {key!r}")
-    blocking = params if params is not None else DEFAULT_BLOCKING
+    blocking = resolve_blocking(params, DEFAULT_KERNEL)
     n_snps = int(workload["n_snps"])
     k_words = int(workload["k_words"])
 

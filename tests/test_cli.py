@@ -142,18 +142,6 @@ class TestLdCommand:
         with pytest.raises(SystemExit, match="unsupported output"):
             main(["ld", str(path), "--out", str(tmp_path / "m.parquet")])
 
-    def test_threads_option(self, ms_panel, tmp_path):
-        path, haps = ms_panel
-        out = tmp_path / "t.npy"
-        assert main([
-            "ld", str(path), "--threads", "3", "--out", str(out),
-        ]) == 0
-        from repro.core.ldmatrix import ld_matrix
-
-        np.testing.assert_allclose(
-            np.nan_to_num(np.load(out)), np.nan_to_num(ld_matrix(haps))
-        )
-
 
 class TestLdEngineOption:
     @pytest.mark.parametrize("engine", ["serial", "threads", "processes"])
@@ -210,15 +198,6 @@ class TestLdEngineOption:
         with pytest.raises(SystemExit, match="not both"):
             main(["ld", str(path), "--engine", "serial", "--window", "5",
                   "--window-kb", "2.5", "--out", out])
-
-    def test_engine_rejects_threads_option(self, ms_panel, tmp_path):
-        """Regression: --threads used to be silently ignored with --engine."""
-        path, _ = ms_panel
-        with pytest.raises(SystemExit, match="use --workers, not --threads"):
-            main([
-                "ld", str(path), "--engine", "serial", "--threads", "3",
-                "--out", str(tmp_path / "ld.npy"),
-            ])
 
     @pytest.mark.parametrize(
         "flag", [["--progress"], ["--metrics-out", "m.json"],
@@ -295,6 +274,30 @@ class TestLdEngineOption:
         # The wall-clock covered none of the tiles, so a %-of-peak claim
         # would be meaningless; the section must be absent, not wrong.
         assert "model" not in payload
+
+    def test_model_prices_the_blocking_the_engine_ran(
+        self, ms_panel, tmp_path
+    ):
+        """The metrics and profile model rows count the fused kernel's
+        blocking, not the numpy micro-kernel's 128 x 128 tile."""
+        from repro.core.gemm import (
+            DEFAULT_KERNEL, gemm_operation_counts, resolve_blocking,
+        )
+
+        path, haps = ms_panel
+        metrics, profile = tmp_path / "m.json", tmp_path / "p.json"
+        assert main([
+            "ld", str(path), "--engine", "serial", "--block-snps", "16",
+            "--out", str(tmp_path / "ld.npy"),
+            "--metrics-out", str(metrics), "--profile-out", str(profile),
+        ]) == 0
+        n, k = haps.shape[1], (haps.shape[0] + 63) // 64
+        expected = gemm_operation_counts(
+            n, n, k, resolve_blocking(None, DEFAULT_KERNEL), symmetric=True,
+        ).total_ops
+        for artifact in (metrics, profile):
+            payload = json.loads(artifact.read_text())
+            assert payload["model"]["total_ops"] == expected, artifact.name
 
     def test_custom_manifest_path(self, ms_panel, tmp_path):
         path, _ = ms_panel

@@ -3,10 +3,11 @@
 One seeded generator produces panels across awkward shapes (sample counts
 off 64-bit word boundaries, monomorphic all-zero/all-one columns, more
 SNPs than samples and vice versa), and every implementation in the repo —
-the naive Section II-B baseline, the blocked GEMM under every registered
-kernel (both fused macro-kernels and both legacy micro-kernels), the threaded driver at several widths, the streaming loop,
-and all three sharded-engine executors — is required to reproduce the
-same r² matrix to float64 round-off.
+the naive Section II-B baseline, the blocked Gram and cross GEMMs under
+every registered kernel (the fused macro-kernel and both legacy
+micro-kernels) at the default and at a small blocking, the streaming
+loop, and all three sharded-engine executors — is required to reproduce
+the same r² matrix to float64 round-off.
 """
 
 from __future__ import annotations
@@ -15,14 +16,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.naive import naive_ld_matrix
+from repro.core.blocking import BlockingParams
 from repro.core.engine import run_engine
-from repro.core.ldmatrix import compute_ld, ld_matrix
+from repro.core.ldmatrix import compute_ld, ld_cross, ld_matrix
 from repro.core.gemm import GEMM_KERNELS
 from repro.core.microkernel import MICRO_KERNELS
-from repro.core.parallel import popcount_gemm_parallel
-from repro.core.stats import r_squared_matrix
 from repro.core.streaming import stream_ld_blocks
-from repro.encoding.bitmatrix import BitMatrix
 
 from tests.conftest import assert_allclose_nan, reference_ld
 
@@ -42,6 +41,11 @@ SHAPES = [
     (70, 1),     # single SNP
     (31, 90),    # wide panel, partial word
 ]
+
+#: Small enough that popcount_gram's above-diagonal block skip (on panels
+#: wider than 16 SNPs), its per-word k-chunk loop and its in-place mirror
+#: run under compute_ld.
+SMALL = BlockingParams(mc=16, nc=16, kc=1, mr=8, nr=8)
 
 
 def make_panel(n_samples: int, n_snps: int, seed: int) -> np.ndarray:
@@ -67,13 +71,6 @@ def case(request) -> tuple[np.ndarray, np.ndarray]:
     return dense, reference_r2(dense)
 
 
-def r2_from_counts(counts: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """Normalize a GᵀG count matrix into r² exactly as the pipeline does."""
-    n = dense.shape[0]
-    p = BitMatrix.from_dense(dense).allele_frequencies()
-    return r_squared_matrix(counts / float(n), p)
-
-
 class TestDifferentialR2:
     def test_naive_matches_reference(self, case):
         dense, expected = case
@@ -82,15 +79,9 @@ class TestDifferentialR2:
     @pytest.mark.parametrize("kernel", sorted(GEMM_KERNELS))
     def test_every_micro_kernel(self, case, kernel):
         dense, expected = case
-        result = compute_ld(dense, kernel=kernel)
-        assert_allclose_nan(result.r2(), expected, atol=1e-12)
-
-    @pytest.mark.parametrize("n_threads", [1, 2, 5])
-    def test_parallel_thread_counts(self, case, n_threads):
-        dense, expected = case
-        words = BitMatrix.from_dense(dense).words
-        counts = popcount_gemm_parallel(words, None, n_threads=n_threads)
-        assert_allclose_nan(r2_from_counts(counts, dense), expected, atol=1e-12)
+        for params in (None, SMALL):
+            result = compute_ld(dense, kernel=kernel, params=params)
+            assert_allclose_nan(result.r2(), expected, atol=1e-12)
 
     def test_streaming_blocks(self, case):
         dense, expected = case
@@ -154,8 +145,8 @@ def test_all_paths_bit_identical_to_each_other():
     results = {}
     for kernel in GEMM_KERNELS:
         results[f"kernel:{kernel}"] = ld_matrix(dense, kernel=kernel)[il]
-    for n_threads in (2, 5):
-        results[f"threads:{n_threads}"] = ld_matrix(dense, n_threads=n_threads)[il]
+    results["gram:small-blocking"] = ld_matrix(dense, params=SMALL)[il]
+    results["cross"] = ld_cross(dense, dense)[il]
     assembled = np.full((29, 29), np.nan)
 
     def sink(i0, j0, block):

@@ -81,6 +81,11 @@ class TestPopcountGemm:
         with pytest.raises(ValueError, match="2-D"):
             popcount_gemm(a, a)
 
+    def test_rejects_unknown_kernel(self, rng):
+        _, a = packed_panel(rng, 64, 3)
+        with pytest.raises(ValueError, match="fused, numpy, scalar"):
+            popcount_gemm(a, a, kernel="fused-popcount")
+
     def test_empty_dimensions(self, rng):
         _, a = packed_panel(rng, 64, 3)
         empty = np.zeros((0, 1), dtype=np.uint64)

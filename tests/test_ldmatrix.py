@@ -88,11 +88,6 @@ class TestLdMatrix:
             ld_matrix(tiny_panel),
         )
 
-    def test_threaded_path(self, small_panel):
-        assert_allclose_nan(
-            ld_matrix(small_panel, n_threads=3), ld_matrix(small_panel)
-        )
-
     def test_zero_samples_rejected(self):
         bm = BitMatrix(words=np.zeros((2, 0), dtype=np.uint64), n_samples=0)
         with pytest.raises(ValueError, match="zero samples"):

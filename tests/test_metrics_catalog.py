@@ -184,6 +184,26 @@ class TestCatalog:
             f"{sorted(missing)}"
         )
 
+    def test_span_catalog_matches_the_code(self):
+        """Static check: the worker and driver span lists together name
+        exactly the ``span("...")`` literals under src/repro."""
+        text = CATALOG.read_text(encoding="utf-8")
+        documented: set[str] = set()
+        for lead in ("Worker phase span names", "Driver-side spans"):
+            paragraph = text.split(lead, 1)[1].split("\n\n", 1)[0]
+            documented |= set(re.findall(r"`([a-z_][a-z0-9_.]*)`", paragraph))
+        src = CATALOG.parent.parent / "src" / "repro"
+        pattern = re.compile(r"""\bspan\(\s*["']([^"']+)["']""")
+        emitted = {
+            name
+            for path in src.rglob("*.py")
+            for name in pattern.findall(path.read_text(encoding="utf-8"))
+        }
+        assert documented == emitted, (
+            f"only in docs/METRICS.md: {sorted(documented - emitted)}; "
+            f"only in src/: {sorted(emitted - documented)}"
+        )
+
     def test_every_event_carries_exactly_its_documented_fields(
         self, fault_run_events
     ):

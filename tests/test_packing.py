@@ -73,31 +73,7 @@ class TestPackPanelB:
 
 
 class TestPackInto:
-    """The allocation-free `_into` variants and the contiguous B skip."""
-
-    @given(a=WORDS, mr=st.sampled_from([1, 2, 4, 8]))
-    @settings(max_examples=25)
-    def test_pack_block_a_into_matches_allocating_path(self, a, mr):
-        from repro.core.packing import pack_block_a_into
-
-        m, k = a.shape
-        n_slivers = (m + mr - 1) // mr
-        # Oversized scratch, poisoned so stale contents would be caught.
-        scratch = np.full((n_slivers + 2, k + 3, mr), ~np.uint64(0))
-        packed = pack_block_a_into(a, mr, scratch)
-        np.testing.assert_array_equal(packed, pack_block_a(a, mr))
-        assert packed.base is not None  # a view of the scratch, not a copy
-
-    @given(b=WORDS, nr=st.sampled_from([1, 2, 4, 8]))
-    @settings(max_examples=25)
-    def test_pack_panel_b_into_matches_allocating_path(self, b, nr):
-        from repro.core.packing import pack_panel_b_into
-
-        k, n = b.shape
-        n_slivers = (n + nr - 1) // nr
-        scratch = np.full((n_slivers + 1, k + 2, nr), ~np.uint64(0))
-        packed = pack_panel_b_into(b, nr, scratch)
-        np.testing.assert_array_equal(packed, pack_panel_b(b, nr))
+    """The contiguous single-sliver B skip."""
 
     def test_contiguous_single_sliver_b_is_a_view(self):
         # A full-width contiguous panel is already in micro-panel order:
@@ -106,12 +82,6 @@ class TestPackInto:
         packed = pack_panel_b(b, 4)
         assert np.shares_memory(packed, b)
         np.testing.assert_array_equal(packed[0], b)
-        from repro.core.packing import pack_panel_b_into
-
-        scratch = np.zeros((1, 6, 4), dtype=np.uint64)
-        packed2 = pack_panel_b_into(b, 4, scratch)
-        assert np.shares_memory(packed2, b)
-        assert not scratch.any()  # the scratch was never touched
 
     def test_strided_single_sliver_b_is_copied(self):
         # A non-contiguous slice must take the copy path.
