@@ -38,8 +38,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.blocking import DEFAULT_BLOCKING  # noqa: E402
 from repro.core.engine import ENGINES, enumerate_tiles, run_engine  # noqa: E402
+from repro.core.gemm import DEFAULT_KERNEL, resolve_blocking  # noqa: E402
 from repro.observe import MetricsRecorder, compare_to_model  # noqa: E402
 from repro.simulate.datasets import simulate_sfs_panel  # noqa: E402
 
@@ -118,7 +118,8 @@ def bench_engine_scaling(
             assert computed == n_tiles
             comparison = compare_to_model(
                 n_snps, n_snps, packed.n_words, seconds,
-                params=DEFAULT_BLOCKING, symmetric=True,
+                params=resolve_blocking(None, DEFAULT_KERNEL),
+                symmetric=True,
             )
             if serial_s is None:
                 serial_s = seconds
@@ -157,8 +158,8 @@ def write_report(rows: list[dict], path: str | Path) -> dict:
     """Serialize the accumulated rows as ``BENCH_engine.json``."""
     payload = {
         "schema": "repro-bench-engine/1",
-        "model": "HASWELL analytical (repro.machine), DEFAULT_BLOCKING, "
-                 "scalar64 peak",
+        "model": "HASWELL analytical (repro.machine), blocking of the "
+                 f"{DEFAULT_KERNEL!r} kernel the engine runs, scalar64 peak",
         "results": rows,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n",
@@ -216,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
             block_snps=block_snps, workers=args.workers, repeats=repeats,
         ))
     # Smoke criterion: every executor finished every tile, on every shape.
-    assert len(rows) == len(shapes) * (1 + 3 * len(args.workers))
+    n_pooled = len(ENGINES) - 1  # every engine but serial, per worker count
+    assert len(rows) == len(shapes) * (1 + n_pooled * len(args.workers))
     payload = write_report(rows, args.json)
     if args.history:
         append_history(payload, args.history)

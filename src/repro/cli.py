@@ -902,59 +902,6 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
     return 1 if diff["flagged"] else 0
 
 
-def _cmd_pool_list(args: argparse.Namespace) -> int:
-    """List persistent warm-worker pools journaled to the state file."""
-    from repro.core.executors import pool_status
-
-    pools = pool_status()
-    if not pools:
-        print("pool: no persistent pools")
-        return 0
-    print(f"{'KEY':<16} {'OWNER':>7} {'ALIVE':>5} {'WORKERS':>7} "
-          f"{'AGE':>8}  SELF")
-    now_wall = time.time()
-    now_mono = time.monotonic()
-    for entry in pools:
-        # Age from the monotonic birth stamp: CLOCK_MONOTONIC is
-        # system-wide on Linux, so the subtraction is valid across
-        # processes and immune to wall-clock jumps (NTP, DST). Records
-        # journaled before the monotonic stamp existed fall back to the
-        # wall-clock birth time.
-        if entry.get("created_monotonic") is not None:
-            age = max(0.0, now_mono - float(entry["created_monotonic"]))
-        else:
-            age = max(0.0, now_wall - float(entry.get("created", now_wall)))
-        print(
-            f"{entry['key'][:16]:<16} {entry['owner_pid']:>7} "
-            f"{'yes' if entry['owner_alive'] else 'no':>5} "
-            f"{entry['workers_alive']}/{entry['n_workers']:>3}   "
-            f"{age:>7.1f}s  {'*' if entry['own'] else ''}"
-        )
-    return 0
-
-
-def _cmd_pool_stop(args: argparse.Namespace) -> int:
-    """Stop warm pools: kill workers and unlink their shared memory."""
-    from repro.core.executors import pool_status, stop_pools
-
-    key = args.key
-    if key is not None:
-        matches = sorted(
-            {e["key"] for e in pool_status() if e["key"].startswith(key)}
-        )
-        if not matches:
-            print(f"pool: no pool matches key {key!r}", file=sys.stderr)
-            return 1
-        if len(matches) > 1:
-            print(f"pool: key {key!r} is ambiguous "
-                  f"({', '.join(m[:16] for m in matches)})", file=sys.stderr)
-            return 1
-        key = matches[0]
-    stopped = stop_pools(key, cross_process=True)
-    print(f"pool: stopped {stopped} pool(s)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -1014,8 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sharded tiled execution with checkpoint journal "
                         "(out-of-core .npy path; default: in-memory). "
                         "'persistent' keeps a warm worker pool alive "
-                        "across runs (see `repro pool`); 'processes' is "
-                        "its older spelling")
+                        "across runs in one process; 'processes' is its "
+                        "older spelling")
     p.add_argument("--workers", type=int, default=None,
                    help="worker count for --engine threads/persistent")
     p.add_argument("--block-snps", type=int, default=512,
@@ -1185,24 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "fraction vs baseline (default: 0.30)")
     rp.add_argument("--registry", default=None, metavar="JSONL")
     rp.set_defaults(func=_cmd_runs_diff)
-
-    p = sub.add_parser(
-        "pool",
-        help="inspect or stop persistent warm-worker pools",
-    )
-    pool_sub = p.add_subparsers(dest="pool_command", required=True)
-    pp = pool_sub.add_parser(
-        "list", help="list journaled pools (this process and others)"
-    )
-    pp.set_defaults(func=_cmd_pool_list)
-    pp = pool_sub.add_parser(
-        "stop",
-        help="stop warm pools: kill workers, unlink shared-memory segments",
-    )
-    pp.add_argument("--key", default=None, metavar="FINGERPRINT",
-                    help="stop only the pool with this panel fingerprint "
-                         "(prefixes accepted; default: all pools)")
-    pp.set_defaults(func=_cmd_pool_stop)
 
     return parser
 

@@ -49,7 +49,6 @@ from repro.core.executors import (
     ExecutorBackend,
     panel_fingerprint,
     panel_store_key,
-    pool_status,
     reap_idle_pools,
     stop_pools,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "ExecutorBackend",
     "panel_fingerprint",
     "panel_store_key",
-    "pool_status",
     "reap_idle_pools",
     "stop_pools",
     "PanelPrefetcher",

@@ -22,13 +22,15 @@ Three backends ship:
   pipes (raw connections — no queue feeder threads, so warm dispatch
   latency is a single pipe round trip) and survive across
   ``run_engine`` calls. Pools live in a module-level registry keyed by
-  a panel fingerprint, are reaped after an idle timeout, capped by
-  ``REPRO_POOL_MAX``, and can be listed/stopped cross-process via
-  ``repro pool`` (worker pids and segment names are journaled to a
-  state file). A worker that dies (``SIGKILL``, fault injection, an
-  external ``repro pool stop``) is respawned alone — its batch is
-  charged a retry — instead of rebuilding the whole pool, so the warm
-  panel mapping is never paid for twice.
+  a panel fingerprint, are reaped after an idle timeout and capped at
+  two per process. A pool lives exactly as long as the process that
+  owns it: workers exit on their own once that process is gone (even
+  after ``SIGKILL``), and the multiprocessing resource tracker then
+  unlinks the segments, so nothing is left to stop by hand. A worker
+  that dies (``SIGKILL``, fault injection, a watchdog timeout) is
+  respawned alone — its batch is charged a retry — instead of
+  rebuilding the whole pool, so the warm panel mapping is never paid
+  for twice.
 
 The division of labour with the engine: ``engine.py`` owns tile
 enumeration, the manifest, fingerprints, metrics, and the public
@@ -40,13 +42,10 @@ inside ``run_engine`` so the import graph stays acyclic.
 from __future__ import annotations
 
 import atexit
-import errno
 import hashlib
 import itertools
-import json
 import os
 import select
-import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
@@ -55,7 +54,6 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from multiprocessing import connection as mp_connection
-from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -94,7 +92,6 @@ __all__ = [
     "drive",
     "panel_fingerprint",
     "panel_store_key",
-    "pool_status",
     "reap_idle_pools",
     "stop_pools",
 ]
@@ -391,9 +388,11 @@ def _persistent_worker_main(
     arena_slot_elems: int,
     task_conn,
     result_conn,
+    owner_pid: int,
     panel_path: str | None = None,
 ) -> None:
-    """Main loop of one warm worker: attach once, then serve batches forever.
+    """Main loop of one warm worker: attach once, then serve batches
+    until the owner stops the pool or dies.
 
     The panel and arena segments are mapped exactly once, at startup —
     the whole point of the persistent pool. Messages arrive on a raw
@@ -406,6 +405,11 @@ def _persistent_worker_main(
     time between messages is measured and shipped back for the
     ``worker.idle`` phase. A ``None`` message (or a closed pipe) shuts
     the worker down cleanly.
+
+    A killed owner sends nothing and its pipe never reports EOF (forked
+    workers hold copies of the send ends), so an idle worker also wakes
+    once a second and exits when it has been reparented away from
+    *owner_pid*: the pool dies with its owner.
     """
     shm, words = _attach_panel(shm_name, words_shape, panel_path)
     arena_shm = shared_memory.SharedMemory(name=arena_name)
@@ -426,6 +430,9 @@ def _persistent_worker_main(
         while True:
             idle_start = time.perf_counter()
             try:
+                while not task_conn.poll(1.0):
+                    if os.getppid() != owner_pid:
+                        return
                 message = task_conn.recv()
             except (EOFError, OSError):
                 break
@@ -726,6 +733,11 @@ class SerialBackend:
 class ThreadsBackend:
     """A per-run ``ThreadPoolExecutor`` of GIL-released numpy workers.
 
+    In-flight units are bounded per worker, like the persistent pool's
+    (two, or one under a watchdog budget, which a unit queued behind
+    another would spend waiting), so each ``drain`` waits on a handful
+    of futures rather than on every unit of the run.
+
     Threads cannot be killed, so the watchdog *orphans* an overdue
     future — it is removed from tracking, its eventual result discarded,
     and the pool is shut down without waiting at the end of the round.
@@ -746,6 +758,9 @@ class ThreadsBackend:
     ) -> None:
         self._task = batch_task
         self._n_workers = n_workers
+        self._max_inflight = n_workers * (
+            1 if ctx.tile_timeout is not None else 2
+        )
         self._ctx = ctx
         self._pool: ThreadPoolExecutor | None = None
         self._futures: dict = {}
@@ -762,6 +777,8 @@ class ThreadsBackend:
     def submit_batch(
         self, unit: tuple[TileTask, ...], epochs: tuple[int, ...]
     ) -> BatchHandle | None:
+        if len(self._futures) >= self._max_inflight:
+            return None
         with span("driver.dispatch"):
             future = self._pool.submit(self._task, unit, epochs)
         handle = BatchHandle(
@@ -881,13 +898,8 @@ class PersistentPool:
     ) -> None:
         self.key = key
         self.n_workers = n_workers
-        # One coherent pair of birth stamps: the *monotonic* one drives
-        # every age computation (idle reaping here, `repro pool list`
-        # ages in the CLI) so a wall-clock jump — NTP step, suspend —
-        # can never age a pool backwards or reap a fresh one; the
-        # wall-clock twin exists only for humans reading the state file.
-        self.created = time.time()
-        self.created_monotonic = time.monotonic()
+        # Monotonic, so a wall-clock jump (NTP step, suspend) can never
+        # make the idle reaper stop a fresh pool.
         self.last_used = time.monotonic()
         self.in_use = 0
         self.spawns = 0
@@ -943,6 +955,7 @@ class PersistentPool:
                 self.arena.slot_elems,
                 task_recv,
                 result_send,
+                os.getpid(),
                 self._panel_path,
             ),
             daemon=True,
@@ -1141,8 +1154,8 @@ class PersistentBackend:
                 key, self._n_workers, self._slot_elems, build
             )
             self._pool.in_use += 1
-        # Workers killed between runs (chaos, `repro pool stop` from
-        # outside) are respawned here — the pool object survives.
+        # Workers killed between runs (chaos, a signal from outside) are
+        # respawned here — the pool object survives.
         respawned = self._pool.ensure_workers()
         for _ in range(respawned):
             self.respawns_this_run += 1
@@ -1391,19 +1404,10 @@ _POOLS_LOCK = threading.RLock()
 _REAPER: threading.Thread | None = None
 _ATEXIT_INSTALLED = False
 
-
-def _max_pools() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_POOL_MAX", "2")))
-    except ValueError:  # pragma: no cover - bad env
-        return 2
-
-
-def _idle_timeout() -> float:
-    try:
-        return max(1.0, float(os.environ.get("REPRO_POOL_IDLE_TIMEOUT", "300")))
-    except ValueError:  # pragma: no cover - bad env
-        return 300.0
+#: Warm pools one process keeps (least recently used evicted first).
+_MAX_POOLS = 2
+#: Seconds a pool may sit unused before the reaper stops it.
+_IDLE_TIMEOUT = 300.0
 
 
 def _acquire_pool(
@@ -1431,12 +1435,8 @@ def _acquire_pool(
         pool = build()
         _POOLS[key] = pool
         _POOLS.move_to_end(key)
-        _state_record(pool)
-        while len(_POOLS) > _max_pools():
-            oldest = next(iter(_POOLS))
-            if oldest == key:  # pragma: no cover - cap >= 1 keeps newest
-                break
-            _drop_pool_locked(oldest)
+        while len(_POOLS) > _MAX_POOLS:
+            _drop_pool_locked(next(iter(_POOLS)))
         _install_atexit()
         _ensure_reaper()
         return pool
@@ -1444,20 +1444,15 @@ def _acquire_pool(
 
 def _drop_pool_locked(key: str) -> None:
     pool = _POOLS.pop(key, None)
-    if pool is None:
-        return
-    try:
+    if pool is not None:
         pool.stop()
-    finally:
-        _state_forget(key)
 
 
-def _reap_locked(now: float | None = None) -> int:
-    now = time.monotonic() if now is None else now
-    idle = _idle_timeout()
+def _reap_locked() -> int:
+    now = time.monotonic()
     stale = [
         key for key, pool in _POOLS.items()
-        if pool.in_use == 0 and now - pool.last_used > idle
+        if pool.in_use == 0 and now - pool.last_used > _IDLE_TIMEOUT
     ]
     for key in stale:
         _drop_pool_locked(key)
@@ -1465,14 +1460,14 @@ def _reap_locked(now: float | None = None) -> int:
 
 
 def reap_idle_pools() -> int:
-    """Stop warm pools idle past ``REPRO_POOL_IDLE_TIMEOUT``; return count."""
+    """Stop warm pools idle past ``_IDLE_TIMEOUT`` seconds; return count."""
     with _POOLS_LOCK:
         return _reap_locked()
 
 
 def _reaper_loop() -> None:
     while True:
-        time.sleep(max(1.0, _idle_timeout() / 4.0))
+        time.sleep(max(1.0, _IDLE_TIMEOUT / 4.0))
         with _POOLS_LOCK:
             _reap_locked()
             if not _POOLS:
@@ -1496,172 +1491,13 @@ def _install_atexit() -> None:
         _ATEXIT_INSTALLED = True
 
 
-def stop_pools(key: str | None = None, *, cross_process: bool = False) -> int:
-    """Stop warm pools; returns how many were stopped.
-
-    With *key* only that pool is stopped; otherwise all of them. With
-    ``cross_process=True`` pools journaled to the state file by *other*
-    processes are also torn down (worker pids killed, segments
-    unlinked) — the ``repro pool stop`` path for leaked or orphaned
-    pools.
-    """
-    stopped = 0
+def stop_pools() -> int:
+    """Stop every warm pool this process owns; returns how many."""
     with _POOLS_LOCK:
-        targets = [key] if key is not None else list(_POOLS)
-        for target in targets:
-            if target in _POOLS:
-                _drop_pool_locked(target)
-                stopped += 1
-    if cross_process:
-        stopped += _state_stop_foreign(key)
-    return stopped
-
-
-# ---------------------------------------------------------------------------
-# On-disk pool state: lets `repro pool list/stop` see other processes.
-# ---------------------------------------------------------------------------
-
-
-def _state_path() -> Path:
-    override = os.environ.get("REPRO_POOL_STATE")
-    if override:
-        return Path(override)
-    uid = getattr(os, "getuid", lambda: "na")()
-    return Path(tempfile.gettempdir()) / f"repro-pools-{uid}.json"
-
-
-def _state_update(mutate) -> list[dict]:
-    """Locked read-modify-write of the pool state file (best effort)."""
-    path = _state_path()
-    try:
-        with open(path, "a+", encoding="utf-8") as fh:
-            try:
-                import fcntl
-
-                fcntl.flock(fh, fcntl.LOCK_EX)
-            except (ImportError, OSError):  # pragma: no cover - non-POSIX
-                pass
-            fh.seek(0)
-            raw = fh.read()
-            try:
-                entries = json.loads(raw) if raw.strip() else []
-            except ValueError:
-                entries = []
-            entries = mutate(entries)
-            fh.seek(0)
-            fh.truncate()
-            json.dump(entries, fh, indent=0)
-        return entries
-    except OSError:  # pragma: no cover - unwritable tempdir
-        return []
-
-
-def _state_record(pool: PersistentPool) -> None:
-    entry = {
-        "key": pool.key,
-        "owner_pid": os.getpid(),
-        # Wall clock for humans; the monotonic stamp (CLOCK_MONOTONIC is
-        # system-wide on Linux, so other processes can subtract it from
-        # their own time.monotonic()) for age math that survives
-        # wall-clock jumps.
-        "created": pool.created,
-        "created_monotonic": pool.created_monotonic,
-        "n_workers": pool.n_workers,
-        "worker_pids": pool.pids,
-        "panel_shm": pool.panel_shm.name if pool.panel_shm else None,
-        "arena_shm": pool.arena.name,
-    }
-
-    def mutate(entries: list[dict]) -> list[dict]:
-        entries = [
-            e for e in entries
-            if not (e.get("key") == pool.key
-                    and e.get("owner_pid") == os.getpid())
-        ]
-        entries.append(entry)
-        return entries
-
-    _state_update(mutate)
-
-
-def _state_forget(key: str) -> None:
-    def mutate(entries: list[dict]) -> list[dict]:
-        return [
-            e for e in entries
-            if not (e.get("key") == key and e.get("owner_pid") == os.getpid())
-        ]
-
-    _state_update(mutate)
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user pid
-        return True
-    except OSError as error:  # pragma: no cover - exotic errnos
-        return error.errno != errno.ESRCH
-    return True
-
-
-def pool_status() -> list[dict]:
-    """Every journaled pool (this process and others), liveness-annotated."""
-    entries = _state_update(lambda e: e)
-    status = []
-    for entry in entries:
-        owner = int(entry.get("owner_pid", -1))
-        workers = [int(p) for p in entry.get("worker_pids", [])]
-        status.append(
-            {
-                **entry,
-                "owner_alive": _pid_alive(owner),
-                "workers_alive": sum(1 for p in workers if _pid_alive(p)),
-                "own": owner == os.getpid(),
-            }
-        )
-    return status
-
-
-def _state_stop_foreign(key: str | None) -> int:
-    """Tear down pools journaled by other processes (or dead owners)."""
-    import signal
-
-    stopped = 0
-    remaining: list[dict] = []
-    entries = _state_update(lambda e: e)
-    for entry in entries:
-        owner = int(entry.get("owner_pid", -1))
-        if owner == os.getpid():
-            # Live entries for this process are managed by the registry;
-            # anything still listed here was already stopped above.
-            if entry.get("key") in _POOLS:
-                remaining.append(entry)
-            continue
-        if key is not None and entry.get("key") != key:
-            remaining.append(entry)
-            continue
-        for pid in entry.get("worker_pids", []):
-            pid = int(pid)
-            if _pid_alive(pid):
-                try:
-                    os.kill(pid, signal.SIGTERM)
-                except OSError:  # pragma: no cover - raced exit
-                    pass
-        for name in (entry.get("panel_shm"), entry.get("arena_shm")):
-            if not name:
-                continue
-            try:
-                seg = shared_memory.SharedMemory(name=name)
-                _close_and_unlink(seg)
-            except FileNotFoundError:
-                pass
-            except OSError:  # pragma: no cover - raced unlink
-                pass
-        stopped += 1
-    _state_update(lambda _e: remaining)
-    return stopped
+        keys = list(_POOLS)
+        for key in keys:
+            _drop_pool_locked(key)
+    return len(keys)
 
 
 # ---------------------------------------------------------------------------

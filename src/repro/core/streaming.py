@@ -62,8 +62,80 @@ def _upper_mask(size: int) -> np.ndarray:
     return mask
 
 
+def _open_npy(
+    path: str | Path, shape: tuple[int, int], mode: str, what: str
+) -> np.memmap:
+    """Create (``"w+"``) or reopen (``"r+"``) a float64 ``.npy`` memmap.
+
+    A resumed run reopens whatever is on disk and then writes through
+    it, so ``"r+"`` refuses anything that is not exactly the *what* a
+    previous run of this shape would have produced — silently
+    memmapping a mismatched file would scatter tiles into garbage
+    offsets.
+    """
+    if mode not in ("w+", "r+"):
+        raise ValueError(f"mode must be 'w+' or 'r+', got {mode!r}")
+    if mode == "w+":
+        return np.lib.format.open_memmap(
+            str(path), mode="w+", dtype=np.float64, shape=shape,
+        )
+    try:
+        memmap = np.lib.format.open_memmap(str(path), mode="r+")
+    except FileNotFoundError as exc:
+        raise ValueError(
+            f"cannot reopen {path} with mode='r+': file does "
+            "not exist (rerun without resume to create it)"
+        ) from exc
+    except ValueError as exc:
+        raise ValueError(
+            f"cannot reopen {path} with mode='r+': not a "
+            f"readable .npy file ({exc}); delete it or rerun "
+            "without resume"
+        ) from exc
+    if memmap.shape != shape or memmap.dtype != np.float64:
+        found_shape, found_dtype = memmap.shape, memmap.dtype
+        del memmap  # release before raising
+        raise ValueError(
+            f"existing {what} at {path} has shape "
+            f"{found_shape} dtype {found_dtype}; expected "
+            f"{shape} float64 — it was not produced by an "
+            "equivalent run; delete it or rerun without resume"
+        )
+    if not memmap.flags["C_CONTIGUOUS"]:
+        del memmap
+        raise ValueError(
+            f"existing {what} at {path} is Fortran-ordered; "
+            f"expected C-ordered {shape} float64 — delete it or "
+            "rerun without resume"
+        )
+    return memmap
+
+
+class _MemmapSink:
+    """Deterministic flush/close shared by the ``.npy`` memmap sinks."""
+
+    _memmap: np.memmap | None
+
+    def flush(self) -> None:
+        """Force written blocks to disk (no-op once closed)."""
+        if self._memmap is not None:
+            self._memmap.flush()
+
+    def close(self) -> None:
+        """Flush and release the memmap; idempotent."""
+        if self._memmap is not None:
+            self._memmap.flush()
+            self._memmap = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
 @dataclass
-class NpyMemmapSink:
+class NpyMemmapSink(_MemmapSink):
     """Sink writing blocks into a disk-backed full matrix (``.npy``).
 
     The lower-triangle blocks delivered by :func:`stream_ld_blocks` are
@@ -95,49 +167,9 @@ class NpyMemmapSink:
     def __post_init__(self) -> None:
         if self.n_snps <= 0:
             raise ValueError(f"n_snps must be positive, got {self.n_snps}")
-        if self.mode not in ("w+", "r+"):
-            raise ValueError(f"mode must be 'w+' or 'r+', got {self.mode!r}")
-        shape = (self.n_snps, self.n_snps)
-        if self.mode == "r+":
-            # A resumed run reopens whatever is on disk and then writes
-            # through it, so refuse anything that is not exactly the
-            # matrix a previous run of this shape would have produced —
-            # silently memmapping a mismatched file would scatter tiles
-            # into garbage offsets.
-            try:
-                memmap = np.lib.format.open_memmap(str(self.path), mode="r+")
-            except FileNotFoundError as exc:
-                raise ValueError(
-                    f"cannot reopen {self.path} with mode='r+': file does "
-                    "not exist (rerun without resume to create it)"
-                ) from exc
-            except ValueError as exc:
-                raise ValueError(
-                    f"cannot reopen {self.path} with mode='r+': not a "
-                    f"readable .npy file ({exc}); delete it or rerun "
-                    "without resume"
-                ) from exc
-            if memmap.shape != shape or memmap.dtype != np.float64:
-                found_shape, found_dtype = memmap.shape, memmap.dtype
-                del memmap  # release before raising
-                raise ValueError(
-                    f"existing matrix at {self.path} has shape "
-                    f"{found_shape} dtype {found_dtype}; expected "
-                    f"{shape} float64 — it was not produced by an "
-                    "equivalent run; delete it or rerun without resume"
-                )
-            if not memmap.flags["C_CONTIGUOUS"]:
-                del memmap
-                raise ValueError(
-                    f"existing matrix at {self.path} is Fortran-ordered; "
-                    f"expected C-ordered {shape} float64 — delete it or "
-                    "rerun without resume"
-                )
-            self._memmap = memmap
-        else:
-            self._memmap = np.lib.format.open_memmap(
-                str(self.path), mode="w+", dtype=np.float64, shape=shape,
-            )
+        self._memmap = _open_npy(
+            self.path, (self.n_snps, self.n_snps), self.mode, "matrix"
+        )
 
     def __call__(self, i0: int, j0: int, block: np.ndarray) -> None:
         if self._memmap is None:
@@ -159,26 +191,9 @@ class NpyMemmapSink:
                 sub = mm[i0 : i0 + size, j0 : j0 + size]
                 np.copyto(sub, block.T, where=_upper_mask(size))
 
-    def flush(self) -> None:
-        """Force written blocks to disk (no-op once closed)."""
-        if self._memmap is not None:
-            self._memmap.flush()
-
-    def close(self) -> None:
-        """Flush and release the memmap; idempotent."""
-        if self._memmap is not None:
-            self._memmap.flush()
-            self._memmap = None
-
-    def __enter__(self) -> "NpyMemmapSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 @dataclass
-class BandedNpySink:
+class BandedNpySink(_MemmapSink):
     """Sink writing banded runs into a diagonal-major ``.npy`` memmap.
 
     The on-disk array is the ``(n_snps, window + 1)`` layout
@@ -221,70 +236,19 @@ class BandedNpySink:
             raise ValueError(
                 f"window must be non-negative, got {self.window}"
             )
-        if self.mode not in ("w+", "r+"):
-            raise ValueError(f"mode must be 'w+' or 'r+', got {self.mode!r}")
-        shape = (self.n_snps, self.window + 1)
-        if self.mode == "r+":
-            try:
-                memmap = np.lib.format.open_memmap(str(self.path), mode="r+")
-            except FileNotFoundError as exc:
-                raise ValueError(
-                    f"cannot reopen {self.path} with mode='r+': file does "
-                    "not exist (rerun without resume to create it)"
-                ) from exc
-            except ValueError as exc:
-                raise ValueError(
-                    f"cannot reopen {self.path} with mode='r+': not a "
-                    f"readable .npy file ({exc}); delete it or rerun "
-                    "without resume"
-                ) from exc
-            if memmap.shape != shape or memmap.dtype != np.float64:
-                found_shape, found_dtype = memmap.shape, memmap.dtype
-                del memmap  # release before raising
-                raise ValueError(
-                    f"existing banded matrix at {self.path} has shape "
-                    f"{found_shape} dtype {found_dtype}; expected "
-                    f"{shape} float64 — it was not produced by an "
-                    "equivalent run; delete it or rerun without resume"
-                )
-            if not memmap.flags["C_CONTIGUOUS"]:
-                del memmap
-                raise ValueError(
-                    f"existing banded matrix at {self.path} is "
-                    f"Fortran-ordered; expected C-ordered {shape} float64 "
-                    "— delete it or rerun without resume"
-                )
-            self._memmap = memmap
-        else:
-            memmap = np.lib.format.open_memmap(
-                str(self.path), mode="w+", dtype=np.float64, shape=shape,
-            )
+        self._memmap = _open_npy(
+            self.path, (self.n_snps, self.window + 1), self.mode,
+            "banded matrix",
+        )
+        if self.mode == "w+":
             # NaN is the band's "never covered" value (the BandedLDMatrix
             # convention); a fresh zero-filled memmap would read as r²=0.
-            memmap[:] = np.nan
-            self._memmap = memmap
+            self._memmap[:] = np.nan
 
     def __call__(self, i0: int, j0: int, block: np.ndarray) -> None:
         if self._memmap is None:
             raise ValueError(f"sink for {self.path} is closed")
         write_banded_block(self._memmap, self.window, i0, j0, block)
-
-    def flush(self) -> None:
-        """Force written blocks to disk (no-op once closed)."""
-        if self._memmap is not None:
-            self._memmap.flush()
-
-    def close(self) -> None:
-        """Flush and release the memmap; idempotent."""
-        if self._memmap is not None:
-            self._memmap.flush()
-            self._memmap = None
-
-    def __enter__(self) -> "BandedNpySink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 @dataclass

@@ -11,11 +11,20 @@ failure histories.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.engine import run_engine
 from repro.core.executors import stop_pools
 from repro.core.streaming import NpyMemmapSink
@@ -89,6 +98,45 @@ def _random_schedule(
             site="manifest_append", action="torn", tile=draw.choice(keys),
         ))
     return FaultPlan(seed=seed, specs=tuple(specs))
+
+
+#: A pool owner for the lifetime test: builds a warm 2-worker pool,
+#: prints its worker pids and segment names, then idles until killed.
+_POOL_OWNER = """
+import json, time
+import numpy as np
+from repro.core import executors
+from repro.core.engine import run_engine
+
+panel = np.random.default_rng(0xFA17).integers(0, 2, size=(48, 41))
+report = run_engine(panel.astype(np.uint8), lambda *a: None,
+                    engine="persistent", block_snps=7, n_workers=2)
+assert report.complete and report.n_pool_spawns == 1
+pool = next(iter(executors._POOLS.values()))
+print(json.dumps({"pids": pool.pids,
+                  "segments": [pool.panel_shm.name, pool.arena.name]}),
+      flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* exists and is not a zombie waiting for its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+def _wait_until(condition, timeout: float) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 def _run_until_complete(panel, out, manifest, plan, *, engine, n) -> int:
@@ -318,3 +366,42 @@ class TestPersistentChaos:
         assert report.quarantined == ((7, 7),)
         assert recorder.event_count("tile_quarantined") == 1
         assert "injected raise" in manifest.read_text()
+
+    def test_sigkilled_owner_takes_its_pool_with_it(self, tmp_path):
+        """A pool lives exactly as long as its owner: once the owning
+        process is SIGKILLed its workers exit and its segments go."""
+        shm = Path("/dev/shm")
+        if not shm.exists() or not Path("/proc/self/stat").exists():
+            pytest.skip("needs /dev/shm and /proc")
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        err_path = tmp_path / "owner.err"
+        with open(err_path, "w", encoding="utf-8") as err:
+            owner = subprocess.Popen(
+                [sys.executable, "-c", _POOL_OWNER], stdout=subprocess.PIPE,
+                stderr=err, text=True, env=env,
+            )
+        pids: list[int] = []
+        try:
+            ready, _, _ = select.select([owner.stdout], [], [], 60.0)
+            line = owner.stdout.readline() if ready else ""
+            assert line, f"owner built no pool: {err_path.read_text()}"
+            info = json.loads(line)
+            pids = info["pids"]
+            assert len(pids) == 2 and all(_running(p) for p in pids)
+            owner.kill()
+            owner.wait(timeout=10)
+            assert _wait_until(
+                lambda: not any(_running(p) for p in pids), 5.0
+            ), "pool workers outlived their SIGKILLed owner"
+            segments = [shm / name.lstrip("/") for name in info["segments"]]
+            assert _wait_until(
+                lambda: not any(path.exists() for path in segments), 10.0
+            ), "the dead owner's shared-memory segments were left behind"
+        finally:
+            owner.kill()
+            owner.wait(timeout=10)
+            owner.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

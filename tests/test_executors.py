@@ -7,7 +7,7 @@ free: bit-identical r² versus the serial oracle, crash/resume to
 identical manifests, exact retry accounting, and CRC verification of
 the shared-memory result arena. Persistent-pool specifics ride along:
 warm reuse with zero pool spawns (the whole point of the backend),
-registry lifecycle (stop, idle reap, status), the shared-memory leak
+registry lifecycle (stop, idle reap, LRU cap), the shared-memory leak
 detector for ``run_engine`` exception paths, and the arena-slot
 accounting that lets one warm pool outlive failing runs.
 """
@@ -31,7 +31,6 @@ from repro.core.engine import (
 from repro.core.executors import (
     _ResultArena,
     panel_fingerprint,
-    pool_status,
     reap_idle_pools,
     stop_pools,
 )
@@ -198,6 +197,30 @@ class TestConformance:
             )
 
 
+class TestBoundedDispatch:
+    def test_threads_keep_at_most_two_units_per_worker_in_flight(
+        self, panel, monkeypatch
+    ):
+        # Every unit submitted up front would make each drain wait on
+        # the whole run's futures: O(units) driver work per completion.
+        in_flight: list[int] = []
+        real_drain = executors_mod.ThreadsBackend.drain
+
+        def counting_drain(self, timeout):
+            in_flight.append(len(self._futures))
+            return real_drain(self, timeout)
+
+        monkeypatch.setattr(
+            executors_mod.ThreadsBackend, "drain", counting_drain
+        )
+        _, report = _assemble(
+            panel, engine="threads", block_snps=4, n_workers=2,
+            batch_tiles=1,
+        )
+        assert report.complete and report.n_tiles >= 40
+        assert in_flight and max(in_flight) <= 4
+
+
 class TestWarmReuse:
     """The point of the persistent backend: the second run is free."""
 
@@ -234,7 +257,7 @@ class TestWarmReuse:
             )
             assert report.complete
         # One pool was built for all three runs (same panel fingerprint).
-        assert len(pool_status()) == 1
+        assert len(executors_mod._POOLS) == 1
 
     def test_results_identical_across_cold_and_warm_runs(self, panel):
         first, _ = _assemble(
@@ -253,7 +276,7 @@ class TestPoolLifecycle:
         _assemble(panel, engine="persistent", block_snps=9, n_workers=2)
         other = rng.integers(0, 2, size=(60, 29)).astype(np.uint8)
         _assemble(other, engine="persistent", block_snps=9, n_workers=2)
-        keys = {entry["key"] for entry in pool_status()}
+        keys = set(executors_mod._POOLS)
         assert keys == {
             panel_fingerprint(as_bitmatrix(panel).words,
                               as_bitmatrix(panel).n_samples),
@@ -263,13 +286,12 @@ class TestPoolLifecycle:
 
     def test_stop_pools_kills_workers_and_unlinks_segments(self, panel):
         _assemble(panel, engine="persistent", block_snps=9, n_workers=2)
-        entries = pool_status()
-        assert len(entries) == 1
+        assert len(executors_mod._POOLS) == 1
         pool = next(iter(executors_mod._POOLS.values()))
         pids = list(pool.pids)
         segments = [pool.panel_shm.name, pool.arena.name]
         assert stop_pools() == 1
-        assert pool_status() == []
+        assert not executors_mod._POOLS
         for pid in pids:
             # Daemon children: reaped or at least no longer running.
             try:
@@ -281,15 +303,14 @@ class TestPoolLifecycle:
             assert not (Path("/dev/shm") / name.lstrip("/")).exists()
 
     def test_idle_pools_are_reaped(self, panel, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_IDLE_TIMEOUT", "1")
+        monkeypatch.setattr(executors_mod, "_IDLE_TIMEOUT", 1.0)
         _assemble(panel, engine="persistent", block_snps=9, n_workers=2)
         pool = next(iter(executors_mod._POOLS.values()))
         pool.last_used -= 10.0  # simulate the idle window elapsing
         assert reap_idle_pools() == 1
         assert executors_mod._POOLS == {}
 
-    def test_pool_cap_evicts_least_recently_used(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_MAX", "2")
+    def test_pool_cap_evicts_least_recently_used(self, rng):
         panels = [
             rng.integers(0, 2, size=(50, 17 + i)).astype(np.uint8)
             for i in range(3)
