@@ -21,7 +21,6 @@ from repro.core.banding import (
     genomic_index_width,
 )
 from repro.core.engine import (
-    ENGINE_ALIASES,
     ENGINES,
     enumerate_tiles,
     run_engine,
@@ -250,7 +249,7 @@ class TestBandedExecutors:
         yield
         stop_pools()
 
-    @pytest.mark.parametrize("engine", (*ENGINES, *ENGINE_ALIASES))
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_every_executor_matches_dense_band(
         self, packed, dense_band, engine
     ):
@@ -363,12 +362,12 @@ class TestBandedResume:
         try:
             with pytest.raises(InjectedCrash):
                 with BandedNpySink(out, N_SNPS, WINDOW) as sink:
-                    run_engine(packed, sink, engine="processes", n_workers=2,
+                    run_engine(packed, sink, engine="persistent", n_workers=2,
                                block_snps=BLOCK, band=WINDOW,
                                manifest_path=manifest, faults=plan,
                                retry_backoff=0.0)
             with BandedNpySink(out, N_SNPS, WINDOW, mode="r+") as sink:
-                report = run_engine(packed, sink, engine="processes",
+                report = run_engine(packed, sink, engine="persistent",
                                     n_workers=2, block_snps=BLOCK,
                                     band=WINDOW, manifest_path=manifest,
                                     resume=True)

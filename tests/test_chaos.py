@@ -196,7 +196,7 @@ class TestChaosSchedules:
         out = tmp_path / "chaos.npy"
         _run_until_complete(
             chaos_panel, out, tmp_path / "chaos.manifest", plan,
-            engine="processes", n=n,
+            engine="persistent", n=n,
         )
         np.testing.assert_array_equal(np.load(out), clean_matrix)
 

@@ -95,7 +95,7 @@ class TestDifferentialR2:
         il = np.tril_indices(n)
         assert_allclose_nan(assembled[il], expected[il], atol=1e-12)
 
-    @pytest.mark.parametrize("engine", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("engine", ["serial", "threads", "persistent"])
     @pytest.mark.parametrize("kernel", sorted(GEMM_KERNELS))
     def test_kernel_engine_cross_product(self, kernel, engine):
         """Every micro-kernel under every executor, one awkward shape."""
@@ -113,7 +113,7 @@ class TestDifferentialR2:
         il = np.tril_indices(23)
         assert_allclose_nan(assembled[il], expected[il], atol=1e-12)
 
-    @pytest.mark.parametrize("engine", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("engine", ["serial", "threads", "persistent"])
     def test_engine_executors(self, case, engine):
         dense, expected = case
         n = dense.shape[1]
@@ -154,7 +154,7 @@ def test_all_paths_bit_identical_to_each_other():
 
     stream_ld_blocks(dense, sink, block_snps=6)
     results["streaming"] = assembled[il]
-    for engine in ("serial", "threads", "processes"):
+    for engine in ("serial", "threads", "persistent"):
         tiled = np.full((29, 29), np.nan)
 
         def esink(i0, j0, block):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import (
-    ENGINE_ALIASES,
     ENGINES,
     TileManifest,
     TileTask,
@@ -21,10 +20,6 @@ from repro.core.ldmatrix import as_bitmatrix, ld_matrix
 from repro.core.streaming import NpyMemmapSink
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.observe import MetricsRecorder
-
-#: Every accepted ``engine=`` spelling: the executors and their aliases.
-SPELLINGS = (*ENGINES, *ENGINE_ALIASES)
-
 
 @pytest.fixture
 def panel(rng):
@@ -138,7 +133,7 @@ class _AssemblingSink:
 
 
 class TestRunEngine:
-    @pytest.mark.parametrize("engine", SPELLINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("stat", ["r2", "D", "H"])
     def test_matches_in_memory_pipeline(self, panel, engine, stat):
         n = panel.shape[1]
@@ -181,7 +176,7 @@ class TestRunEngine:
         with pytest.raises(ValueError, match="max_retries"):
             run_engine(panel, lambda *a: None, max_retries=-1)
 
-    @pytest.mark.parametrize("engine", SPELLINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_memmap_sink_round_trip(self, panel, tmp_path, engine):
         path = tmp_path / "ld.npy"
         n = panel.shape[1]
@@ -201,7 +196,7 @@ class TestRetries:
     real worker crashes, no counter files, no flakiness.
     """
 
-    @pytest.mark.parametrize("engine", SPELLINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_transient_failures_are_retried(self, panel, engine):
         plan = FaultPlan(seed=11, specs=(
             FaultSpec(site="tile_compute", tile=(10, 10), attempts_below=2),
@@ -229,7 +224,7 @@ class TestRetries:
             sink.matrix[il], ld_matrix(panel)[il]
         )
 
-    @pytest.mark.parametrize("engine", SPELLINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_persistent_failure_raises_after_retries(self, panel, engine):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_compute", tile=(0, 0)),
@@ -263,7 +258,7 @@ class _CrashingSink:
 
 
 class TestCrashResume:
-    @pytest.mark.parametrize("engine", SPELLINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_interrupted_run_resumes_bit_identically(
         self, panel, tmp_path, engine
     ):
@@ -321,7 +316,7 @@ class TestCrashResume:
 class TestBatchedDispatch:
     """Batched tile units and the shared-memory result arena."""
 
-    @pytest.mark.parametrize("engine", ["threads", "processes"])
+    @pytest.mark.parametrize("engine", ["threads", "persistent"])
     @pytest.mark.parametrize("batch", [1, 2, 3, 100])
     def test_batched_matrix_is_bit_identical(self, panel, engine, batch):
         n = panel.shape[1]
@@ -349,7 +344,7 @@ class TestBatchedDispatch:
                 panel, lambda *a: None, engine="threads", batch_tiles=0
             )
 
-    @pytest.mark.parametrize("engine", ["threads", "processes"])
+    @pytest.mark.parametrize("engine", ["threads", "persistent"])
     def test_batch_accounting_in_recorder(self, panel, engine):
         # The arena is counted when its pool is built, so start cold.
         stop_pools()
@@ -359,13 +354,13 @@ class TestBatchedDispatch:
             block_snps=10, n_workers=2, batch_tiles=2, recorder=recorder,
         )
         assert recorder.counters["engine.batches_dispatched"] == report.n_batches
-        if engine == "processes":
+        if engine == "persistent":
             # The result arena's footprint is reported once per pool.
             assert recorder.counters["engine.arena_bytes"] > 0
         else:
             assert "engine.arena_bytes" not in recorder.counters
 
-    @pytest.mark.parametrize("engine", ["threads", "processes"])
+    @pytest.mark.parametrize("engine", ["threads", "persistent"])
     def test_tile_timeout_forces_singleton_batches(self, panel, engine):
         report = run_engine(
             panel, _AssemblingSink(panel.shape[1]), engine=engine,
@@ -376,7 +371,7 @@ class TestBatchedDispatch:
         assert report.complete
         assert report.n_batches == report.n_tiles
 
-    @pytest.mark.parametrize("engine", ["threads", "processes"])
+    @pytest.mark.parametrize("engine", ["threads", "persistent"])
     def test_transient_failure_inside_batch_retries_only_that_tile(
         self, panel, engine
     ):
@@ -404,7 +399,7 @@ class TestBatchedDispatch:
         ))
         with pytest.raises(InjectedFault, match="injected raise"):
             run_engine(
-                panel, _AssemblingSink(panel.shape[1]), engine="processes",
+                panel, _AssemblingSink(panel.shape[1]), engine="persistent",
                 block_snps=10, n_workers=2, batch_tiles=4, max_retries=1,
                 retry_backoff=0.0, faults=plan,
             )

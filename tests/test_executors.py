@@ -1,15 +1,15 @@
 """Executor-conformance battery (repro.core.executors).
 
 One parametrized suite run against every backend — ``serial``,
-``threads``, ``persistent``, plus the older ``processes`` spelling of
-``persistent`` — so any future execution strategy gets conformance for
-free: bit-identical r² versus the serial oracle, crash/resume to
-identical manifests, exact retry accounting, and CRC verification of
-the shared-memory result arena. Persistent-pool specifics ride along:
-warm reuse with zero pool spawns (the whole point of the backend),
-registry lifecycle (stop, idle reap, LRU cap), the shared-memory leak
-detector for ``run_engine`` exception paths, and the arena-slot
-accounting that lets one warm pool outlive failing runs.
+``threads``, ``persistent`` — so any future execution strategy gets
+conformance for free: bit-identical r² versus the serial oracle,
+crash/resume to identical manifests, exact retry accounting, and CRC
+verification of the shared-memory result arena. Persistent-pool
+specifics ride along: warm reuse with zero pool spawns (the whole
+point of the backend), registry lifecycle (stop, idle reap, LRU cap),
+the shared-memory leak detector for ``run_engine`` exception paths,
+and the arena-slot accounting that lets one warm pool outlive failing
+runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pytest
 
 from repro.core import executors as executors_mod
 from repro.core.engine import (
-    ENGINE_ALIASES,
     ENGINES,
     TileManifest,
     input_fingerprint,
@@ -41,10 +40,6 @@ from repro.observe import MetricsRecorder, SpanProfiler, profiling
 
 #: Awkward differential shapes: word-aligned, fringe bits, wide panels.
 CONFORMANCE_SHAPES = [(64, 20), (65, 24), (90, 41), (31, 90)]
-
-#: Every accepted ``engine=`` spelling: the executors and their aliases.
-SPELLINGS = (*ENGINES, *ENGINE_ALIASES)
-
 
 @pytest.fixture(autouse=True)
 def fresh_pools():
@@ -93,7 +88,7 @@ class _CrashAfter:
 class TestConformance:
     """The battery every backend must pass identically."""
 
-    @pytest.mark.parametrize("engine", SPELLINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("shape", CONFORMANCE_SHAPES)
     def test_bit_identical_r2_vs_oracle(self, engine, shape):
         # The oracle is an in-process single-threaded run; every other
@@ -111,7 +106,7 @@ class TestConformance:
         tri = np.tril_indices(shape[1])
         np.testing.assert_array_equal(got[tri], oracle[tri])
 
-    @pytest.mark.parametrize("engine", SPELLINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_crash_resume_to_identical_manifest_and_matrix(
         self, engine, panel, tmp_path
     ):
@@ -146,7 +141,7 @@ class TestConformance:
             np.load(crash_path), np.load(clean_path)
         )
 
-    @pytest.mark.parametrize("engine", SPELLINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_retry_count_is_exact(self, engine, panel):
         plan = FaultPlan(seed=3, specs=(
             FaultSpec(site="tile_compute", tile=(9, 9), attempts_below=2),
@@ -166,7 +161,7 @@ class TestConformance:
         tri = np.tril_indices(panel.shape[1])
         np.testing.assert_array_equal(got[tri], expected[tri])
 
-    @pytest.mark.parametrize("engine", SPELLINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_arena_crc_catches_bitflip_and_recomputes(self, engine, panel):
         plan = FaultPlan(seed=5, specs=(
             FaultSpec(site="tile_deliver", tile=(18, 9), attempts_below=1,
@@ -185,7 +180,7 @@ class TestConformance:
         tri = np.tril_indices(panel.shape[1])
         np.testing.assert_array_equal(got[tri], expected[tri])
 
-    @pytest.mark.parametrize("engine", SPELLINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_exhausted_retries_raise_original_error(self, engine, panel):
         plan = FaultPlan(seed=1, specs=(
             FaultSpec(site="tile_compute", tile=(0, 0)),
@@ -335,7 +330,7 @@ def _shm_segments() -> set[str]:
 class TestShmLeaks:
     """`run_engine` exception paths must release every shm segment."""
 
-    @pytest.mark.parametrize("engine", ["processes", "persistent"])
+    @pytest.mark.parametrize("engine", ["persistent"])
     def test_crashing_sink_leaks_no_segments(self, engine, panel):
         before = _shm_segments()
 

@@ -154,7 +154,7 @@ class TestFaultPlanDecisions:
 
 
 class TestCorruptionDetection:
-    @pytest.mark.parametrize("engine", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("engine", ["serial", "threads", "persistent"])
     def test_bitflip_within_budget_is_recomputed(self, panel, engine):
         plan = FaultPlan(seed=5, specs=(
             FaultSpec(site="tile_deliver", action="bitflip", tile=(8, 8),
@@ -305,7 +305,9 @@ class TestWatchdog:
 class TestDegradation:
     def test_processes_degrade_to_threads_when_pool_cannot_spawn(self, panel):
         # The pool_spawn site fires only when a pool is built, so start
-        # cold; the "processes" spelling resolves to the warm pool.
+        # cold; the "processes" spelling resolves to the warm pool. This
+        # is the engine-level check of that alias; test_cli checks the
+        # CLI's.
         stop_pools()
         plan = FaultPlan(specs=(
             FaultSpec(site="pool_spawn"),

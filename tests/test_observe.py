@@ -345,7 +345,7 @@ class TestStreamingRecorder:
 
 
 class TestEngineRecorder:
-    @pytest.mark.parametrize("engine", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("engine", ["serial", "threads", "persistent"])
     def test_tile_events_agree_with_report(self, panel, engine):
         rec = MetricsRecorder(keep_events=True)
         report = run_engine(

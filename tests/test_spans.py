@@ -204,7 +204,7 @@ class TestKernelSpans:
 
 
 class TestEngineSpans:
-    @pytest.mark.parametrize("engine", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("engine", ["serial", "threads", "persistent"])
     def test_phase_seconds_ship_back_from_every_engine(self, panel, engine):
         recorder = MetricsRecorder(keep_events=True)
         with profiling(SpanProfiler()):
