@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "BlockingParams",
+    "CARRIER_COST_RATIO",
     "DEFAULT_BLOCKING",
     "FUSED_BLOCKING",
     "MICRO_BLOCKING",
@@ -147,3 +148,19 @@ MICRO_BLOCKING = BlockingParams(mc=256, nc=2048, kc=256, mr=8, nr=8)
 #: no register tile of its own. Values selected empirically (see
 #: benchmarks/BENCH_gemm.json).
 FUSED_BLOCKING = BlockingParams(mc=2048, nc=4096, kc=64, mr=8, nr=8)
+
+#: Cost of one carrier lookup, in fused-GEMM bit products: the price the
+#: carrier path (:mod:`repro.core.carriers`) pays per partner SNP for each
+#: minor-allele carrier of a rare SNP — and per cell for each element
+#: operation that assembles a split tile — where the fused kernel pays one
+#: bit product per sample. Measured at Dataset B's 512² tiles on a 2-vCPU
+#: AVX-512 Xeon guest (numpy 2.4, scipy-openblas on one thread): a lookup
+#: (byte gather, shift, mask, rank-wise sum) costs 2.6–3.3 ns, a bit
+#: product 0.025–0.029 ns while the host's sgemm ran at 70–80 GFLOP/s and
+#: ~0.0095 ns at the 211 GFLOP/s the same guest reached earlier — a ratio
+#: of ~90–350 depending on the host's regime. 600 stays above the fast end,
+#: so a panel splits only where the split pays even when sgemm is fast:
+#: Dataset A (2,504 samples), where a split measured no gain at the fast
+#: rate, stays on the plain GEMM; Dataset B (10,000) splits at t = 16, at
+#: 1.5–1.7× per tile on this guest.
+CARRIER_COST_RATIO = 600

@@ -59,6 +59,7 @@ import numpy as np
 
 from repro.core.banding import BandSpec, dense_tile_count
 from repro.core.blocking import BlockingParams
+from repro.core.carriers import CarrierIndex, build_carrier_index
 from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm
 from repro.core.ldmatrix import as_bitmatrix
 from repro.core.stats import r_squared_matrix
@@ -184,22 +185,36 @@ def compute_tile(
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
     undefined: float = np.nan,
+    carriers: CarrierIndex | None = None,
 ) -> np.ndarray:
     """Compute one statistic block from the packed words (pure function).
 
-    This is the whole per-tile work unit — one rectangular popcount GEMM
-    plus the elementwise statistic. Its one caller is the tile runner,
-    :func:`repro.core.executors.run_tile`, which the serial loop, thread
-    workers and pool workers all share.
+    This is the whole per-tile work unit — the tile's shared-allele
+    counts plus the elementwise statistic. Its one caller is the tile
+    runner, :func:`repro.core.executors.run_tile`, which the serial
+    loop, thread workers and pool workers all share.
+
+    The counts come from one rectangular popcount GEMM, except that the
+    ``fused`` kernel, given a *carriers* index
+    (:class:`repro.core.carriers.CarrierIndex`), splits a tile holding
+    rare SNPs: the GEMM sees only its common rows and columns, and every
+    count that touches a rare SNP is summed over that SNP's minor-allele
+    carriers (under the ``carriers`` span). The counts stay exact
+    integers, so the block is bit-identical either way. The ``numpy``
+    and ``scalar`` kernels ignore *carriers*: they are the
+    data-oblivious oracles.
     """
     if stat not in _ENGINE_STATS:
         raise ValueError(f"unknown LD statistic {stat!r}; choose r2/D/H")
-    counts = popcount_gemm(
-        words[tile.i0 : tile.i1],
-        words[tile.j0 : tile.j1],
-        params=params,
-        kernel=kernel,
-    )
+    rows, cols = words[tile.i0 : tile.i1], words[tile.j0 : tile.j1]
+
+    def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return popcount_gemm(a, b, params=params, kernel=kernel)
+
+    if carriers is not None and kernel == "fused":
+        counts = carriers.tile_counts(tile, rows, cols, gemm)
+    else:
+        counts = gemm(rows, cols)
     # Divide (rather than multiply by a reciprocal) so tiles are
     # bit-identical to the in-memory pipeline's H = counts / N.
     with span("stat"):
@@ -590,7 +605,9 @@ def run_engine(
         *out-of-core*: no engine copies the panel into RAM or shared
         memory — serial/threads compute against budgeted prefetch
         windows, and process-pool workers map the store read-only by
-        path.
+        path. A store whose stored frequency contradicts the words of
+        a rare SNP (:mod:`repro.core.carriers`) raises ``ValueError``
+        before any tile is computed.
     memory_budget:
         Byte ceiling for resident panel windows (store-backed inputs
         only). Enables the double-buffered prefetch pipeline
@@ -777,6 +794,20 @@ def run_engine(
             memory_budget=memory_budget,
             banded=band_spec is not None,
         )
+    # Rare SNPs' minor-allele carriers, gathered once per run; every
+    # executor gets them inside the run's TileConfig. A store's SNPs are
+    # classified from its stored frequencies and only its rare rows are
+    # read, at most one prefetch window of rows at a time.
+    carriers = None
+    if kernel == "fused":
+        index = build_carrier_index(
+            freqs,
+            matrix.n_samples,
+            lambda snps: words[snps],
+            chunk_rows=window_rows,
+            source="panel" if store is None else f"panel store {store.path}",
+        )
+        carriers = index if index.n_rare else None
     # Lazy: executors imports this module at its top level, so the
     # dependency must point one way at import time.
     from repro.core import executors as _ex
@@ -786,6 +817,7 @@ def run_engine(
         params=params,
         kernel=kernel,
         undefined=undefined,
+        carriers=carriers,
         faults=faults,
         profile=current_profiler().enabled,
     )

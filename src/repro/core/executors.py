@@ -65,6 +65,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.blocking import BlockingParams
+from repro.core.carriers import CarrierIndex
 from repro.core.engine import (
     TileCorruptionError,
     TileResult,
@@ -135,14 +136,16 @@ class WorkerCrashError(RuntimeError):
 class TileConfig:
     """Everything one run's tiles share, built once per run.
 
-    Pool workers receive it as it is, once per run. ``profile`` makes
-    pool workers install their own span profiler.
+    Pool workers receive it as it is, once per run — the carrier index
+    (``carriers``, ``None`` when no SNP of the panel is rare) included.
+    ``profile`` makes pool workers install their own span profiler.
     """
 
     stat: str
     params: BlockingParams | None
     kernel: str
     undefined: float
+    carriers: CarrierIndex | None
     faults: FaultPlan | None
     profile: bool
 
@@ -184,6 +187,7 @@ def run_tile(
             params=config.params,
             kernel=config.kernel,
             undefined=config.undefined,
+            carriers=config.carriers,
         )
         if out is not None:
             with prof.span("arena_copy_out"):

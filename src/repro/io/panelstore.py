@@ -137,12 +137,25 @@ class PanelStore:
         return view
 
     def verify(self) -> bool:
-        """Re-hash the words bytes against the stored digest (full read)."""
+        """Re-read the store against what was packed (full read).
+
+        The words must hash to the stored digest, and every SNP's
+        derived-allele count must give exactly its stored frequency —
+        the digest covers only the words, not the frequency block.
+        """
         digest = hashlib.sha256()
+        freqs_match = True
         for start in range(0, self.n_snps, _PACK_CHUNK_ROWS):
-            chunk = self.words[start : start + _PACK_CHUNK_ROWS]
-            digest.update(np.ascontiguousarray(chunk).tobytes())
-        return digest.hexdigest() == self.content_digest
+            chunk = np.ascontiguousarray(
+                self.words[start : start + _PACK_CHUNK_ROWS]
+            )
+            digest.update(chunk.tobytes())
+            counts = np.bitwise_count(chunk).sum(axis=1, dtype=np.int64)
+            freqs_match = freqs_match and np.array_equal(
+                counts / float(self.n_samples),
+                self.freqs[start : start + chunk.shape[0]],
+            )
+        return freqs_match and digest.hexdigest() == self.content_digest
 
     def close(self) -> None:
         """Release the memmap; idempotent."""

@@ -17,9 +17,12 @@ the neutral SFS (density ∝ 1/f, the standard constant-size expectation,
 which also matches the singleton-heavy human spectrum to first order) and
 per-sample states drawn Bernoulli per site. Sites are independent — LD is
 at its independence baseline — which is irrelevant for the performance
-benchmarks (every kernel's cost is data-oblivious: it depends on the matrix
-*shape*, not the allele values) and is the reason this cheap generator can
-produce the 100,000-sample Dataset C in seconds. Statistical examples that
+benchmarks and is the reason this cheap generator can produce the
+100,000-sample Dataset C in seconds. The spectrum itself is not
+irrelevant: the ``numpy``/``scalar`` kernels' cost depends only on the
+matrix *shape*, but the production ``fused`` kernel sends rare SNPs'
+counts through their minor-allele carriers (:mod:`repro.core.carriers`),
+so its cost also follows how many SNPs are rare. Statistical examples that
 need real linkage structure use :mod:`repro.simulate.coalescent` /
 :mod:`repro.simulate.wrightfisher` instead.
 """
