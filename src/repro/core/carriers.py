@@ -174,7 +174,12 @@ class CarrierIndex:
         if lens.size and lens.max() > 0:
             # Longest carrier lists first, so the SNPs still summing at
             # rank r are a prefix; carriers are visited rank by rank, so
-            # each step adds one contiguous slab.
+            # each step adds one contiguous slab. A prefix sum over the
+            # carriers in CSR order gives the same integers in fewer
+            # lines but measured ~3x slower at Dataset B's 512² tiles
+            # (1.1 ms for this loop; 3.0–3.4 ms for an int32 cumsum
+            # along either axis or np.add.reduceat; numpy 2.4, 2-vCPU
+            # Xeon guest).
             order = np.argsort(-lens, kind="stable")
             starts = bounds[:-1][order]
             ranks = np.arange(lens.max())
