@@ -14,8 +14,7 @@ prune        PLINK-style LD pruning → kept SNP indices
 blocks       haplotype-block partition → .tsv
 decay        LD-decay curve → .tsv
 model        machine-model report (%-of-peak, SIMD analysis, GPU roofline)
-profile      run an LD workload with span profiling on → repro-profile/1 JSON
-report       render any metrics/trace/profile/bench artifact as text
+report       render any run report/trace/bench/live/registry artifact as text
 ===========  ================================================================
 
 Every command takes ``--seed`` where randomness is involved and prints a
@@ -29,7 +28,6 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +36,16 @@ from repro.analysis.decay import ld_decay_curve
 from repro.analysis.haplotype_blocks import find_haplotype_blocks
 from repro.analysis.ldprune import ld_prune
 from repro.analysis.sweeps import sweep_scan
-from repro.core.banding import BandSpec, dense_pair_cells
+from repro.core.banding import BandSpec
 from repro.core.engine import ENGINE_ALIASES, ENGINES, run_engine
-from repro.core.gemm import DEFAULT_KERNEL, resolve_blocking
 from repro.faults import FaultPlan
-from repro.core.ldmatrix import as_bitmatrix, ld_matrix
+from repro.core.ldmatrix import ld_matrix
 from repro.core.streaming import BandedNpySink, NpyMemmapSink
 from repro.observe import (
     JsonlTraceSink,
     MetricsRecorder,
     ProgressReporter,
     SpanProfiler,
-    compare_to_model,
     profiling,
 )
 from repro.core.windowed import banded_ld
@@ -231,24 +227,24 @@ def _cmd_ld_engine(
             raise SystemExit(str(exc))
 
     from repro.observe.live import LivePublisher, new_run_id
+    from repro.observe.report import WorkerTimeline, build_run_report
 
-    live_path = args.live or os.environ.get("REPRO_LIVE") or None
-    run_id = new_run_id()
-    # One recorder per run: the metrics artifact, the registry record and
-    # every sink below count the same events. The profile's worker
-    # timeline is reconstructed from retained tile_computed events, so
-    # --profile-out implies keep_events.
-    recorder = MetricsRecorder(keep_events=bool(args.profile_out))
+    # One recorder per run, with a span profiler always on: the run
+    # report, the registry record and every sink below count the same
+    # events, and no verdict depends on which flags were passed.
+    recorder = MetricsRecorder(run_id=new_run_id())
+    timeline = WorkerTimeline()
+    recorder.sinks.append(timeline)
     if args.trace_out:
         recorder.sinks.append(JsonlTraceSink(args.trace_out))
     if args.progress:
         recorder.sinks.append(ProgressReporter(label="ld"))
-    live = None
+    live_path = args.live or os.environ.get("REPRO_LIVE") or None
     if live_path:
-        live = LivePublisher(
+        recorder.sinks.append(LivePublisher(
             Path(live_path),
             recorder=recorder,
-            run_id=run_id,
+            timeline=timeline,
             config={
                 "engine": args.engine,
                 "workers": args.workers,
@@ -260,9 +256,8 @@ def _cmd_ld_engine(
                 "band": band.describe() if band is not None else None,
                 "memory_budget": args.memory_budget,
             },
-        )
-        recorder.sinks.append(live)
-    profiler = SpanProfiler() if args.profile_out else None
+        ))
+    profiler = SpanProfiler()
 
     band_width = band.index_width(panel.n_snps) if band is not None else 0
     start = time.perf_counter()
@@ -271,9 +266,7 @@ def _cmd_ld_engine(
             sink_cm = BandedNpySink(out, panel.n_snps, band_width, mode=mode)
         else:
             sink_cm = NpyMemmapSink(out, panel.n_snps, mode=mode)
-        with sink_cm as sink, (
-            profiling(profiler) if profiler is not None else nullcontext()
-        ):
+        with sink_cm as sink, profiling(profiler):
             report = run_engine(
                 data, sink,
                 stat=args.stat,
@@ -297,18 +290,28 @@ def _cmd_ld_engine(
         recorder.close()
     wall = time.perf_counter() - start
 
+    payload = build_run_report(
+        recorder=recorder,
+        profiler=profiler,
+        timeline=timeline,
+        report=report,
+        wall_seconds=wall,
+        stat=args.stat,
+        n_snps=panel.n_snps,
+        n_samples=panel.n_samples,
+        k_words=panel.n_words,
+        block_snps=args.block_snps,
+        band=band,
+        window_kb=args.window_kb,
+    )
     _append_run_record(
-        args, panel, report, recorder, wall,
-        run_id=run_id, band=band, live=live, live_path=live_path, out=out,
+        args, payload, band=band, live_path=live_path, out=out,
         manifest=manifest,
     )
     if args.metrics_out:
-        _write_engine_metrics(
-            args, panel, report, recorder, wall,
-            band=band, band_width=band_width,
+        Path(args.metrics_out).write_text(
+            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
         )
-    if args.profile_out:
-        _write_engine_profile(args, panel, report, recorder, profiler, wall)
     if band is not None:
         shape = f"banded ({panel.n_snps}, {band_width + 1}) " \
                 f"[{band.describe()}, {report.n_pruned} tiles pruned]"
@@ -334,23 +337,20 @@ def _cmd_ld_engine(
 
 def _append_run_record(
     args: argparse.Namespace,
-    panel: BitMatrix,
-    report,
-    recorder: MetricsRecorder,
-    wall_seconds: float,
+    payload: dict,
     *,
-    run_id: str,
     band: BandSpec | None,
-    live,
     live_path: str | None,
     out: Path,
     manifest: Path,
 ) -> None:
     """Append this run's ``repro-run/1`` summary to the cross-run ledger.
 
-    Best-effort by design: a read-only cache directory must not fail the
-    run that just computed a matrix — the warning goes to stderr and the
-    matrix still lands.
+    The record is a projection of the run report *payload*: its run id,
+    totals, %-of-peak and anomaly kinds are the report's own. Best-effort
+    by design: a read-only cache directory must not fail the run that
+    just computed a matrix — the warning goes to stderr and the matrix
+    still lands.
     """
     import socket
 
@@ -358,57 +358,48 @@ def _append_run_record(
         RUN_SCHEMA, append_run, shape_fingerprint,
     )
 
-    pairs_computed = recorder.counters.get("engine.pairs_computed", 0)
-    percent_of_peak = None
-    if (band is None and report.n_computed == report.n_tiles
-            and wall_seconds > 0):
-        percent_of_peak = compare_to_model(
-            panel.n_snps, panel.n_snps, panel.n_words, wall_seconds,
-            params=resolve_blocking(None, DEFAULT_KERNEL), symmetric=True,
-        ).measured_percent_of_peak
     band_desc = band.describe() if band is not None else None
+    model = payload.get("model")
     record = {
         "schema": RUN_SCHEMA,
-        "run_id": run_id,
+        "run_id": payload["run_id"],
         "timestamp_unix": time.time(),
         "host": socket.gethostname(),
         "fingerprint": shape_fingerprint(
-            stat=args.stat, n_snps=panel.n_snps, n_samples=panel.n_samples,
-            block_snps=args.block_snps, band=band_desc,
+            stat=payload["stat"], n_snps=payload["n_snps"],
+            n_samples=payload["n_samples"],
+            block_snps=payload["block_snps"], band=band_desc,
         ),
         "config": {
-            "engine": report.engine_used or report.engine,
-            "workers": report.n_workers,
-            "stat": args.stat,
-            "n_snps": panel.n_snps,
-            "n_samples": panel.n_samples,
-            "block_snps": args.block_snps,
+            "engine": payload["engine_used"],
+            "workers": payload["workers"],
+            "stat": payload["stat"],
+            "n_snps": payload["n_snps"],
+            "n_samples": payload["n_samples"],
+            "block_snps": payload["block_snps"],
             "band": band_desc,
             "memory_budget": args.memory_budget,
         },
-        "wall_seconds": wall_seconds,
-        "pairs_computed": pairs_computed,
-        "pairs_per_second": (
-            pairs_computed / wall_seconds if wall_seconds > 0 else 0.0
+        "wall_seconds": payload["wall_seconds"],
+        "pairs_computed": payload["pairs_computed"],
+        "pairs_per_second": payload["pairs_per_second"],
+        "percent_of_peak": (
+            model["measured_percent_of_peak"] if model is not None else None
         ),
-        "percent_of_peak": percent_of_peak,
         "tiles": {
-            "total": report.n_tiles,
-            "computed": report.n_computed,
-            "skipped": report.n_skipped,
-            "pruned": report.n_pruned,
-            "quarantined": report.n_quarantined,
-            "retries": report.n_retries,
+            "total": payload["n_tiles"],
+            "computed": payload["n_computed"],
+            "skipped": payload["n_skipped"],
+            "pruned": payload["counters"].get("engine.tiles_pruned", 0),
+            "quarantined": payload["n_quarantined"],
+            "retries": payload["n_retries"],
         },
-        "anomalies": sorted(
-            {a["kind"] for a in live.last_anomalies}
-        ) if live is not None else [],
+        "anomalies": sorted({a["kind"] for a in payload["anomalies"]}),
         "artifacts": {
             "out": str(out),
             "manifest": str(manifest),
             "metrics": args.metrics_out,
             "trace": args.trace_out,
-            "profile": args.profile_out,
             "live": live_path,
         },
     }
@@ -417,115 +408,6 @@ def _append_run_record(
     except OSError as exc:
         print(f"ld: WARNING could not append to the run registry: {exc}",
               file=sys.stderr)
-
-
-def _write_engine_metrics(
-    args: argparse.Namespace,
-    panel: BitMatrix,
-    report,
-    recorder: MetricsRecorder,
-    wall_seconds: float,
-    *,
-    band: BandSpec | None = None,
-    band_width: int = 0,
-) -> None:
-    """Serialize one engine run's metrics + measured-vs-modeled %-of-peak."""
-    pairs_computed = recorder.counters.get("engine.pairs_computed", 0)
-    # Score the run against the analytical Haswell model for the same
-    # logical problem (symmetric lower-triangle Gram over the full panel)
-    # and the blocking the tiles actually executed. The comparison is the
-    # paper's %-of-peak framing; on a resumed run most tiles were skipped,
-    # so the wall-clock measures only the remainder and the model row is
-    # omitted rather than reported as a nonsense throughput. Banded runs
-    # skip the model too: it prices the dense triangle.
-    model = None
-    if (band is None and report.n_computed == report.n_tiles
-            and wall_seconds > 0):
-        model = compare_to_model(
-            panel.n_snps, panel.n_snps, panel.n_words, wall_seconds,
-            params=resolve_blocking(None, DEFAULT_KERNEL), symmetric=True,
-        ).as_dict()
-    payload = {
-        "schema": "repro-ld-metrics/1",
-        "engine": report.engine,
-        "workers": report.n_workers,
-        "stat": args.stat,
-        "n_snps": panel.n_snps,
-        "n_samples": panel.n_samples,
-        "k_words": panel.n_words,
-        "block_snps": args.block_snps,
-        "n_tiles": report.n_tiles,
-        "n_computed": report.n_computed,
-        "n_skipped": report.n_skipped,
-        "n_retries": report.n_retries,
-        "n_quarantined": report.n_quarantined,
-        "quarantined": [list(t) for t in report.quarantined],
-        "n_batches": report.n_batches,
-        "engine_used": report.engine_used or report.engine,
-        "wall_seconds": wall_seconds,
-        "pairs_computed": pairs_computed,
-        "pairs_per_second": pairs_computed / wall_seconds if wall_seconds > 0
-        else 0.0,
-    }
-    if band is not None:
-        pairs_dense = dense_pair_cells(panel.n_snps, args.block_snps)
-        payload["band"] = {
-            "window": band.window,
-            "window_kb": getattr(args, "window_kb", None),
-            "max_distance": band.max_distance,
-            "index_width": band_width,
-            "tiles_dense": report.n_tiles + report.n_pruned,
-            "tiles_pruned": report.n_pruned,
-            "tiles_partial": report.n_partial,
-            "tiles_full": report.n_tiles - report.n_partial,
-            "pairs_in_band": report.band_pairs,
-            "pairs_dense": pairs_dense,
-            "predicted_speedup": (
-                pairs_dense / report.band_pairs if report.band_pairs else None
-            ),
-        }
-    if model is not None:
-        payload["model"] = model
-    recorder.write_json(args.metrics_out, extra=payload)
-
-
-def _workload_dict(args: argparse.Namespace, panel: BitMatrix) -> dict:
-    """The problem description a ``repro-profile/1`` payload carries."""
-    workload = {
-        "stat": args.stat,
-        "n_snps": panel.n_snps,
-        "n_samples": panel.n_samples,
-        "k_words": panel.n_words,
-        "block_snps": args.block_snps,
-    }
-    window = getattr(args, "window", 0)
-    window_kb = getattr(args, "window_kb", None)
-    if window or window_kb is not None:
-        workload["band"] = {"window": window or None, "window_kb": window_kb}
-    return workload
-
-
-def _write_engine_profile(
-    args: argparse.Namespace,
-    panel: BitMatrix,
-    report,
-    recorder: MetricsRecorder,
-    profiler: SpanProfiler,
-    wall_seconds: float,
-) -> None:
-    """Serialize the run's phase attribution as ``repro-profile/1``."""
-    from repro.observe.report import build_profile_payload
-
-    payload = build_profile_payload(
-        recorder=recorder,
-        profiler=profiler,
-        report=report,
-        wall_seconds=wall_seconds,
-        workload=_workload_dict(args, panel),
-    )
-    Path(args.profile_out).write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def _cmd_ld(args: argparse.Namespace) -> int:
@@ -593,12 +475,10 @@ def _cmd_ld(args: argparse.Namespace) -> int:
             "add --engine serial|threads|persistent "
             "(or use --window for an in-memory SNP-index band)"
         )
-    if (args.progress or args.metrics_out or args.trace_out
-            or args.profile_out or args.live):
+    if args.progress or args.metrics_out or args.trace_out or args.live:
         raise SystemExit(
-            "--progress/--metrics-out/--trace-out/--profile-out/--live "
-            "instrument the tiled engine; add --engine "
-            "serial|threads|persistent"
+            "--progress/--metrics-out/--trace-out/--live instrument the "
+            "tiled engine; add --engine serial|threads|persistent"
         )
     if (args.fault_plan or args.tile_timeout is not None
             or args.max_retries is not None or args.allow_quarantine
@@ -700,64 +580,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run an LD workload with span profiling on; emit ``repro-profile/1``."""
-    import tempfile
-
-    from repro.observe.report import build_profile_payload
-
-    if args.input:
-        panel, _positions = load_panel(args.input)
-        source = str(args.input)
-    else:
-        rng = np.random.default_rng(args.seed)
-        panel = as_bitmatrix(
-            simulate_sfs_panel(args.samples, args.snps, rng=rng)
-        )
-        source = f"sfs(snps={args.snps}, samples={args.samples}, " \
-                 f"seed={args.seed})"
-    recorder = MetricsRecorder(keep_events=True)
-    profiler = SpanProfiler()
-    with tempfile.TemporaryDirectory(prefix="repro-profile-") as tmp:
-        matrix_out = (
-            Path(args.matrix_out) if args.matrix_out
-            else Path(tmp) / "ld.npy"
-        )
-        start = time.perf_counter()
-        with NpyMemmapSink(matrix_out, panel.n_snps) as sink, \
-                profiling(profiler):
-            report = run_engine(
-                panel, sink,
-                stat=args.stat,
-                block_snps=args.block_snps,
-                engine=args.engine,
-                n_workers=args.workers,
-                manifest_path=Path(tmp) / "ld.npy.manifest",
-                recorder=recorder,
-            )
-        wall = time.perf_counter() - start
-    workload = _workload_dict(args, panel)
-    workload["source"] = source
-    payload = build_profile_payload(
-        recorder=recorder,
-        profiler=profiler,
-        report=report,
-        wall_seconds=wall,
-        workload=workload,
-    )
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    coverage = payload["tiles"]["phase_coverage"]
-    print(f"profile: engine={report.engine} workers={report.n_workers} "
-          f"{panel.n_snps} SNPs in {wall:.3f} s; {len(payload['phases'])} "
-          f"phases, span coverage "
-          f"{'--' if coverage is None else format(coverage, '.1%')}, "
-          f"{len(payload['anomalies'])} anomalies -> {out}")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    """Render metrics/trace/profile/bench artifacts as text."""
+    """Render run report/trace/bench/live/registry artifacts as text."""
     from repro.observe.report import UnknownSchemaError, render_file
 
     status = 0
@@ -987,14 +811,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="live tiles/s, pairs/s and ETA line on stderr "
                         "(--engine only)")
     p.add_argument("--metrics-out", default=None, metavar="JSON",
-                   help="write run metrics + measured-vs-modeled %%-of-peak "
-                        "JSON here (--engine only)")
+                   help="write the run report here: metrics, phase "
+                        "attribution, roofline, worker timeline, "
+                        "measured-vs-modeled %%-of-peak and anomalies "
+                        "(--engine only)")
     p.add_argument("--trace-out", default=None, metavar="JSONL",
                    help="write the per-tile JSONL event trace here "
-                        "(--engine only)")
-    p.add_argument("--profile-out", default=None, metavar="JSON",
-                   help="write the repro-profile/1 phase-attribution payload "
-                        "here, enabling span profiling for the run "
                         "(--engine only)")
     p.add_argument("--live", default=None, metavar="JSON",
                    help="publish a repro-live/1 status snapshot here on a "
@@ -1035,40 +857,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decay)
 
     p = sub.add_parser(
-        "profile",
-        help="run an LD workload with span profiling on -> repro-profile/1",
-    )
-    p.add_argument("--input", default=None,
-                   help=".ms/.vcf/.fasta panel "
-                        "(default: simulate an SFS panel)")
-    p.add_argument("--snps", type=int, default=1024,
-                   help="SNP count of the simulated panel (no --input)")
-    p.add_argument("--samples", type=int, default=256,
-                   help="haplotype count of the simulated panel (no --input)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stat", choices=("r2", "D", "H"), default="r2")
-    p.add_argument("--engine", choices=(*ENGINES, *ENGINE_ALIASES),
-                   default="threads",
-                   help="executor to profile (default: threads, which "
-                        "exercises the dispatch/wait driver phases)")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--block-snps", type=int, default=256)
-    p.add_argument("--matrix-out", default=None, metavar="NPY",
-                   help="keep the computed matrix here "
-                        "(default: scratch, discarded)")
-    p.add_argument("--out", required=True,
-                   help="repro-profile/1 JSON output path")
-    p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser(
         "report",
-        help="render metrics/trace/profile/bench artifacts as text",
+        help="render run report/trace/bench/live/registry artifacts as text",
     )
     p.add_argument("files", nargs="+",
-                   help="JSON or JSONL artifact path(s): repro-profile/1, "
-                        "repro-ld-metrics/1, repro-trace/1, "
-                        "repro-bench-gemm/1, repro-bench-engine/1, or a "
-                        "bench history JSONL")
+                   help="JSON or JSONL artifact path(s): repro-ld-metrics/1, "
+                        "repro-trace/1, repro-bench-gemm/1, "
+                        "repro-bench-engine/1, repro-live/1, a bench "
+                        "history or a run registry JSONL")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("model", help="machine-model performance report")

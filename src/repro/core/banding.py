@@ -28,26 +28,20 @@ __all__ = [
 ]
 
 
-def dense_tile_count(n_snps: int, block_snps: int,
-                     include_diagonal: bool = True) -> int:
+def dense_tile_count(n_snps: int, block_snps: int) -> int:
     """Tiles a dense lower-triangle enumeration would produce."""
     nb = (n_snps + block_snps - 1) // block_snps
-    count = nb * (nb + 1) // 2
-    if not include_diagonal:
-        count -= nb
-    return count
+    return nb * (nb + 1) // 2
 
 
-def dense_pair_cells(n_snps: int, block_snps: int,
-                     include_diagonal: bool = True) -> int:
+def dense_pair_cells(n_snps: int, block_snps: int) -> int:
     """Tile cells a dense enumeration would dispatch (the engine's
     "pairs" currency: full tile rectangles, including the upper-triangle
     cells of diagonal tiles)."""
     total = 0
     for i0 in range(0, n_snps, block_snps):
         i1 = min(i0 + block_snps, n_snps)
-        stop = i0 + 1 if include_diagonal else i0
-        for j0 in range(0, stop, block_snps):
+        for j0 in range(0, i0 + 1, block_snps):
             j1 = min(j0 + block_snps, n_snps)
             total += (i1 - i0) * (j1 - j0)
     return total

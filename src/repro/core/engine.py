@@ -142,7 +142,6 @@ def enumerate_tiles(
     n_snps: int,
     block_snps: int,
     *,
-    include_diagonal: bool = True,
     band: "BandSpec | None" = None,
 ) -> list[TileTask]:
     """Lower-triangle block decomposition shared by streaming and the engine.
@@ -167,8 +166,6 @@ def enumerate_tiles(
         i1 = min(i0 + block_snps, n_snps)
         j_start = 0 if band is None else band.first_block_col(i0, block_snps)
         for j0 in range(j_start, i0 + 1, block_snps):
-            if j0 == i0 and not include_diagonal:
-                continue
             tiles.append(
                 TileTask(i0=i0, i1=i1, j0=j0, j1=min(j0 + block_snps, n_snps))
             )
@@ -582,7 +579,6 @@ def run_engine(
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
     undefined: float = np.nan,
-    include_diagonal_blocks: bool = True,
     band: "int | BandSpec | None" = None,
     manifest_path: str | Path | None = None,
     resume: bool = False,
@@ -688,7 +684,8 @@ def run_engine(
     recorder:
         Optional :class:`repro.observe.MetricsRecorder`, the run's one
         telemetry stream. When set, the run emits structured events —
-        ``run_start`` (with the run's ``n_tiles`` and ``pairs_total``),
+        ``run_start`` (with the run's ``n_tiles`` and ``pairs_total``,
+        and the recorder's ``run_id`` when it has one),
         one ``tile_computed`` per delivered tile (tile key, compute
         seconds, deliver/flush seconds, bytes written, worker id), one
         ``tile_skipped`` per journaled tile honoured on resume,
@@ -751,19 +748,12 @@ def run_engine(
     if n_workers <= 0:
         raise ValueError(f"n_workers must be positive, got {n_workers}")
 
-    tiles = enumerate_tiles(
-        matrix.n_snps,
-        block_snps,
-        include_diagonal=include_diagonal_blocks,
-        band=band_spec,
-    )
+    tiles = enumerate_tiles(matrix.n_snps, block_snps, band=band_spec)
     n_pruned = 0
     n_partial = 0
     band_pairs = 0
     if band_spec is not None:
-        n_pruned = dense_tile_count(
-            matrix.n_snps, block_snps, include_diagonal_blocks
-        ) - len(tiles)
+        n_pruned = dense_tile_count(matrix.n_snps, block_snps) - len(tiles)
         for tile in tiles:
             if band_spec.classify(tile) == "partial":
                 n_partial += 1
@@ -857,15 +847,17 @@ def run_engine(
         done_keys: set[tuple[int, int]] = set()
 
         if recorder is not None:
-            band_extra = {}
+            start_extra = {}
+            if recorder.run_id is not None:
+                start_extra["run_id"] = recorder.run_id
             if band_spec is not None:
                 recorder.inc("engine.tiles_pruned", n_pruned)
-                band_extra = {
-                    "band": band_spec.describe(),
-                    "tiles_pruned": n_pruned,
-                    "tiles_partial": n_partial,
-                    "band_pairs": band_pairs,
-                }
+                start_extra.update(
+                    band=band_spec.describe(),
+                    tiles_pruned=n_pruned,
+                    tiles_partial=n_partial,
+                    band_pairs=band_pairs,
+                )
             recorder.event(
                 "run_start",
                 engine=engine,
@@ -877,7 +869,7 @@ def run_engine(
                 n_tiles=len(tiles),
                 n_todo=len(todo),
                 pairs_total=sum(tile_pairs(t) for t in tiles),
-                **band_extra,
+                **start_extra,
             )
             skipped = (
                 [t for t in tiles if t.key in manifest.completed]

@@ -304,7 +304,6 @@ def stream_ld_blocks(
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
     undefined: float = np.nan,
-    include_diagonal_blocks: bool = True,
     memory_budget: int | None = None,
     faults: FaultPlan | None = None,
     recorder: "MetricsRecorder | None" = None,
@@ -328,8 +327,6 @@ def stream_ld_blocks(
     block_snps:
         Block side in SNPs; peak temporary memory is
         ``block_snps² × 8`` bytes.
-    include_diagonal_blocks:
-        Deliver the ``I == J`` blocks (contain the trivial diagonal).
     memory_budget:
         Driver-RAM byte budget for resident panel rows; only valid when
         *data* is a packed panel store (or a path to one). The run then
@@ -363,7 +360,6 @@ def stream_ld_blocks(
         params=params,
         kernel=kernel,
         undefined=undefined,
-        include_diagonal_blocks=include_diagonal_blocks,
         memory_budget=memory_budget,
         faults=faults,
         recorder=recorder,

@@ -17,21 +17,24 @@ is a sink of its event stream or follows the active span profiler:
   (``repro-trace/1``: schema-tagged, monotonic ``seq``) for post-hoc
   analysis;
 - :class:`ProgressReporter` — sink: live tiles/s, pairs/s, and ETA;
+- :class:`WorkerTimeline` — sink: per-worker tile counts and busy time,
+  folded as tiles land; the run report and the live snapshot share it;
 - :class:`repro.observe.live.LivePublisher` — sink: the crash-safe
   ``repro-live/1`` snapshot behind ``repro top`` and the Prometheus
   exporter;
 - :class:`SpanProfiler` — hierarchical phase spans (pack-A, pack-B,
   plane-matmul, mirror, driver dispatch/deliver, ...) with self-time
-  attribution, installed around a run with :func:`profiling`; a no-op
-  singleton when disabled;
+  attribution kept as running totals per thread, installed around a
+  run with :func:`profiling`; a no-op singleton when disabled;
 - :func:`compare_to_model` / :func:`compare_phases_to_model` — measured
   throughput (aggregate, and per phase) placed against
   :mod:`repro.machine.perfmodel`'s prediction, reproducing the paper's
   %-of-peak framing (Figs. 3–4) as a first-class artifact;
-- :func:`build_profile_payload` / :func:`render_report` — the
-  ``repro-profile/1`` attribution artifact (phase table, worker
-  timelines, roofline classification, anomalies) and the text renderer
-  behind ``repro report``.
+- :func:`build_run_report` / :func:`render_report` — the one artifact
+  of an engine run (``repro-ld-metrics/1``: totals, phase table, worker
+  timeline, roofline, model row, anomalies), whose model-row and
+  anomaly rules the registry record and the live snapshot reuse, and
+  the text renderer behind ``repro report``.
 
 The engine's fault-tolerance machinery reports through the same channel:
 ``tile_retry`` events carry the specific failure (plus ``tile_corrupt``
@@ -55,7 +58,6 @@ from repro.observe.progress import ProgressReporter, ProgressSnapshot
 from repro.observe.spans import (
     NULL_PROFILER,
     SpanProfiler,
-    SpanRecord,
     current_profiler,
     install_profiler,
     profiling,
@@ -72,8 +74,8 @@ __all__ = [
     "ProgressReporter",
     "ProgressSnapshot",
     "SpanProfiler",
-    "SpanRecord",
-    "build_profile_payload",
+    "WorkerTimeline",
+    "build_run_report",
     "compare_phases_to_model",
     "compare_to_model",
     "current_profiler",
@@ -92,7 +94,8 @@ _LAZY = {
     "compare_to_model": "repro.observe.modelcheck",
     "PhaseComparison": "repro.observe.modelcheck",
     "compare_phases_to_model": "repro.observe.modelcheck",
-    "build_profile_payload": "repro.observe.report",
+    "WorkerTimeline": "repro.observe.report",
+    "build_run_report": "repro.observe.report",
     "render_file": "repro.observe.report",
     "render_report": "repro.observe.report",
 }

@@ -1,7 +1,7 @@
 """Live run-status bus: a crash-safe snapshot file the engine publishes.
 
-Post-hoc artifacts (metrics/trace/profile) answer *what happened*; this
-module answers *what is happening* — the sustained-throughput monitoring
+Post-hoc artifacts (the run report, the trace) answer *what happened*;
+this module answers *what is happening* — the sustained-throughput monitoring
 the out-of-core GEMM literature treats as table stakes ("Computing
 Petaflops over Terabytes of Data"; "Streaming Data from HDD to GPUs for
 Sustained Peak Performance": a 2-hour sweep that went I/O-bound at
@@ -12,9 +12,11 @@ The design is a single-writer status file, not a socket:
 - :class:`LivePublisher` is a sink of the run's
   :class:`~repro.observe.metrics.MetricsRecorder`. It reads tile, pair,
   retry and respawn totals from the recorder's ``engine.*`` counters,
-  takes the run totals, per-worker heartbeats and the respawn log from
-  the events, and serializes it all as one versioned JSON blob
-  (``repro-live/1``) on a throttled cadence (~2 Hz by default).
+  per-worker rows from the run's
+  :class:`~repro.observe.report.WorkerTimeline` sink, and the run
+  totals and respawn log from the events, and serializes it all as one
+  versioned JSON blob (``repro-live/1``) on a throttled cadence (~2 Hz
+  by default).
 - Every publish is an **atomic replace**: the blob is written to a
   sibling temp file and ``os.replace``-d over the target, so a reader
   polling concurrently — ``repro top``, the Prometheus exporter, a
@@ -35,12 +37,14 @@ metric surface the future LD query service daemon will reuse), and
 :func:`serve_prometheus` (a stdlib HTTP exporter for ``repro export
 --serve``).
 
-Live anomaly flags reuse :mod:`repro.observe.report`'s thresholds
-(``io_bound``, ``worker_idle``, ``packing_heavy``) so the dashboard and
-the post-hoc report never disagree about what counts as a smell; the
-imports resolve lazily because report/modelcheck pull in
-:mod:`repro.core` (the cycle :mod:`repro.observe`'s ``__init__``
-documents).
+The snapshot's %-of-peak and anomalies come from the run report's own
+rules (:func:`repro.observe.report.model_row` and
+:func:`repro.observe.report.find_anomalies`) applied to the running
+totals, so the dashboard and the post-hoc report never disagree about
+what counts as a smell; at ``run_end`` both judge the same totals over
+the engine's run seconds. The imports resolve lazily because
+report/modelcheck pull in :mod:`repro.core` (the cycle
+:mod:`repro.observe`'s ``__init__`` documents).
 """
 
 from __future__ import annotations
@@ -87,8 +91,8 @@ class LivePublisher:
     """Single-writer publisher of the ``repro-live/1`` snapshot file.
 
     A sink of one run's recorder, attached with
-    ``recorder.sinks.append(publisher)``; events arrive on the driver
-    thread only.
+    ``recorder.sinks.append(publisher)`` after *timeline*; events arrive
+    on the driver thread only.
 
     Parameters
     ----------
@@ -97,17 +101,21 @@ class LivePublisher:
     recorder:
         The :class:`~repro.observe.metrics.MetricsRecorder` this
         publisher is a sink of. Its ``engine.*`` counters give the
-        snapshot's tile, pair, retry and respawn totals, and its
-        prefetch/phase state feeds the anomaly flags; the publisher
-        never writes to it.
-    run_id:
-        Identity shared with the run-registry record (default: a fresh
-        :func:`new_run_id`).
+        snapshot's tile, pair, retry and respawn totals, its timers feed
+        the anomaly rules, and its ``run_id`` (a fresh
+        :func:`new_run_id` when it has none) names the snapshot; the
+        publisher never writes to it.
+    timeline:
+        The run's :class:`~repro.observe.report.WorkerTimeline`, a sink
+        of the same recorder attached *before* this publisher: the
+        worker rows and the idle verdicts read it.
     config:
         Static run description carried verbatim into every snapshot
         (engine, stat, shape, band, memory budget, ...). When it names
-        ``n_snps``/``k_words`` and no band, snapshots include a running
-        %-of-peak estimate from the perfmodel.
+        ``n_snps``/``k_words``, snapshots include a running %-of-peak
+        estimate under the run report's model rule (no band, nothing
+        skipped or quarantined), scored at the projected end-to-end
+        time.
     interval:
         Throttle for :meth:`maybe_publish` (seconds; ~2 Hz default).
     """
@@ -117,7 +125,7 @@ class LivePublisher:
         path: str | Path,
         *,
         recorder,
-        run_id: str | None = None,
+        timeline,
         config: dict | None = None,
         interval: float = DEFAULT_INTERVAL,
     ) -> None:
@@ -125,7 +133,8 @@ class LivePublisher:
             raise ValueError(f"interval must be positive, got {interval}")
         self.path = Path(path)
         self.recorder = recorder
-        self.run_id = run_id if run_id is not None else new_run_id()
+        self.timeline = timeline
+        self.run_id = recorder.run_id or new_run_id()
         self.config = dict(config) if config else {}
         self.interval = float(interval)
         self.phase = "starting"
@@ -134,16 +143,17 @@ class LivePublisher:
         self.tiles_total = 0
         self.tiles_pruned = 0
         self.pairs_total = 0
-        self.workers: dict[str, dict] = {}
         self._respawn_log: deque[dict] = deque(maxlen=8)
         self._t0 = time.monotonic()
         self._started_unix = time.time()
+        # The engine's run seconds, from run_end: the final snapshot's
+        # verdicts judge the span the run report judges.
+        self._run_seconds: float | None = None
         self._next_due = 0.0  # first maybe_publish always fires
         # (monotonic ts, pairs_done) samples taken at publish time; the
         # window rate spans the deque, so ~8 s at the default cadence.
         self._rate_samples: deque[tuple[float, int]] = deque(maxlen=16)
         self._rate_history: deque[float] = deque(maxlen=RATE_HISTORY)
-        self.last_anomalies: list[dict] = []
 
     # -- sink interface (cheap unless a publish is due) --------------------
 
@@ -154,18 +164,7 @@ class LivePublisher:
         ``running`` / ``done``).
         """
         kind = event["kind"]
-        if kind == "tile_computed":
-            worker = event["worker"]
-            row = self.workers.get(worker)
-            if row is None:
-                row = self.workers[worker] = {
-                    "worker": worker, "n_tiles": 0, "busy_seconds": 0.0,
-                    "last_seen": 0.0,
-                }
-            row["n_tiles"] += 1
-            row["busy_seconds"] += float(event["compute_s"])
-            row["last_seen"] = time.monotonic()
-        elif kind == "worker_respawn":
+        if kind == "worker_respawn":
             self._respawn_log.append({
                 "worker": int(event["worker"]),
                 "elapsed_seconds": time.monotonic() - self._t0,
@@ -181,6 +180,7 @@ class LivePublisher:
             return
         elif kind == "run_end":
             self.phase = "done"
+            self._run_seconds = event.get("seconds")
             self.publish()
             return
         self.maybe_publish()
@@ -220,7 +220,10 @@ class LivePublisher:
         self.n_published += 1
 
     def _snapshot(self, now: float) -> dict:
-        elapsed = max(now - self._t0, 1e-9)
+        if self._run_seconds is not None:
+            elapsed = max(self._run_seconds, 1e-9)
+        else:
+            elapsed = max(now - self._t0, 1e-9)
         counters = self.recorder.counters
         pairs_done = counters.get("engine.pairs_computed", 0)
         self._rate_samples.append((now, pairs_done))
@@ -232,10 +235,10 @@ class LivePublisher:
         self._rate_history.append(window)
         idle_after = max(2.0, _IDLE_AFTER_INTERVALS * self.interval)
         worker_rows = []
-        for row in sorted(self.workers.values(), key=lambda r: r["worker"]):
+        for worker, row in sorted(self.timeline.workers.items()):
             age = now - row["last_seen"]
             worker_rows.append({
-                "worker": row["worker"],
+                "worker": worker,
                 "n_tiles": row["n_tiles"],
                 "busy_seconds": row["busy_seconds"],
                 "last_seen_seconds": age,
@@ -249,10 +252,9 @@ class LivePublisher:
             "bytes_read": counters.get("prefetch.bytes_read", 0),
             "stall_seconds": stall.total if stall is not None else 0.0,
         }
-        percent_of_peak = self._percent_of_peak(elapsed, pairs_done)
-        self.last_anomalies = self._anomalies(
-            elapsed, worker_rows, prefetch["stall_seconds"]
-        )
+        # Lazy: report pulls in repro.core (see the module docstring).
+        from repro.observe.report import find_anomalies
+
         return {
             "schema": LIVE_SCHEMA,
             "run_id": self.run_id,
@@ -277,86 +279,42 @@ class LivePublisher:
                 "per_second": pairs_done / elapsed,
                 "window_per_second": window,
             },
-            "percent_of_peak": percent_of_peak,
+            "percent_of_peak": self._percent_of_peak(elapsed, pairs_done),
             "workers": worker_rows,
             "worker_respawns": counters.get("engine.worker_respawns", 0),
             "recent_respawns": list(self._respawn_log),
             "retries": counters.get("engine.retries", 0),
             "prefetch": prefetch,
-            "anomalies": self.last_anomalies,
+            "anomalies": find_anomalies(self.recorder, self.timeline, elapsed),
             "rate_history": [round(r, 3) for r in self._rate_history],
         }
 
     def _percent_of_peak(
         self, elapsed: float, pairs_done: int
     ) -> float | None:
-        """Running %-of-peak estimate from the perfmodel hooks.
+        """Running %-of-peak estimate under the run report's model rule.
 
         Projects the run's end-to-end time at the current average rate
         and scores the *whole* problem at that pace — the same currency
-        as the post-hoc metrics artifact. Banded runs are skipped (the
-        model prices the dense triangle) and so are runs whose config
-        does not carry the GEMM shape.
+        as the run report. :func:`repro.observe.report.model_row` leaves
+        banded, resumed and quarantining runs unpriced; runs whose config
+        does not carry the GEMM shape have nothing to price.
         """
         n_snps = self.config.get("n_snps")
         k_words = self.config.get("k_words")
-        if (
-            not n_snps or not k_words or self.config.get("band")
-            or pairs_done <= 0 or self.pairs_total <= 0
-        ):
+        if (not n_snps or not k_words or pairs_done <= 0
+                or self.pairs_total <= 0):
             return None
-        projected = elapsed * self.pairs_total / pairs_done
-        from repro.core.gemm import DEFAULT_KERNEL, resolve_blocking
-        from repro.observe.modelcheck import compare_to_model
+        from repro.observe.report import model_row
 
-        return compare_to_model(
-            int(n_snps), int(n_snps), int(k_words), projected,
-            params=resolve_blocking(None, DEFAULT_KERNEL), symmetric=True,
-        ).measured_percent_of_peak
-
-    def _anomalies(
-        self, elapsed: float, worker_rows: list[dict], stall_seconds: float
-    ) -> list[dict]:
-        """Live smells, judged by report.py's thresholds."""
-        from repro.observe import report as _report
-
-        out: list[dict] = []
-        if (
-            elapsed > 0
-            and stall_seconds > _report.STALL_THRESHOLD * elapsed
-        ):
-            out.append({
-                "kind": "io_bound",
-                "detail": (
-                    f"compute stalled {stall_seconds:.3g} s on panel "
-                    f"prefetch ({stall_seconds / elapsed:.0%} of elapsed, "
-                    f"threshold {_report.STALL_THRESHOLD:.0%}) — raise "
-                    "--memory-budget"
-                ),
-            })
-        if self.phase == "running" and len(worker_rows) > 1 and elapsed > 2.0:
-            for row in worker_rows:
-                idle = max(0.0, 1.0 - row["busy_seconds"] / elapsed)
-                if idle > _report.IDLE_THRESHOLD and row["state"] == "idle":
-                    out.append({
-                        "kind": "worker_idle",
-                        "detail": (
-                            f"worker {row['worker']} idle {idle:.0%} of the "
-                            f"run so far (threshold "
-                            f"{_report.IDLE_THRESHOLD:.0%})"
-                        ),
-                    })
-        out.extend(self._packing_anomaly())
-        return out
-
-    def _packing_anomaly(self) -> list[dict]:
-        n_snps = self.config.get("n_snps")
-        k_words = self.config.get("k_words")
-        if not n_snps or not k_words:
-            return []
-        from repro.observe.report import packing_anomalies
-
-        return packing_anomalies(self.recorder, int(n_snps), int(k_words))
+        counters = self.recorder.counters
+        row = model_row(
+            int(n_snps), int(k_words), elapsed * self.pairs_total / pairs_done,
+            banded=bool(self.config.get("band")),
+            n_skipped=counters.get("engine.tiles_skipped", 0),
+            n_quarantined=counters.get("engine.tiles_quarantined", 0),
+        )
+        return None if row is None else row["measured_percent_of_peak"]
 
 
 # ---------------------------------------------------------------------------

@@ -258,10 +258,16 @@ class MetricsRecorder:
         Retain the full event list in memory (``self.events``). Off by
         default — per-tile events on a biobank-scale run would exhaust
         memory; the counters/timers aggregate them regardless.
+    run_id:
+        The run's identity. The engine stamps it on its ``run_start``
+        event, and the run report, the registry record and the live
+        snapshot all carry it, so every artifact of one run names the
+        same id (``None``: an anonymous run).
     """
 
     sinks: list = field(default_factory=list)
     keep_events: bool = False
+    run_id: str | None = None
     counters: dict[str, int] = field(default_factory=dict)
     timers: dict[str, Histogram] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)

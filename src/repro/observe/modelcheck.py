@@ -155,7 +155,7 @@ class PhaseComparison:
         return self.measured_seconds / self.modeled_seconds
 
     def as_dict(self) -> dict:
-        """JSON-serializable record (the ``repro-profile/1`` roofline row)."""
+        """JSON-serializable record (one row of the run report's roofline)."""
         return {
             "name": self.name,
             "kind": self.kind,

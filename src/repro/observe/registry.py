@@ -5,7 +5,9 @@ this module is the memory *across* runs — the regression story. Every
 ``repro ld --engine`` invocation appends one ``repro-run/1`` summary
 record (identity, config, wall, pairs/s, %-of-peak, anomaly kinds,
 artifact paths) to a ledger, and ``repro runs list|show|diff`` reads it
-back. ``diff`` flags throughput regressions beyond a threshold between
+back. The record is a projection of the run's report
+(:func:`repro.observe.report.build_run_report`): its run id, %-of-peak
+and anomaly kinds are the report's, never derived a second time. ``diff`` flags throughput regressions beyond a threshold between
 runs, warning when their *shape fingerprints* differ (comparing a
 4096-SNP banded sweep against a 512-SNP smoke run is not a regression,
 it is a category error).

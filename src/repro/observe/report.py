@@ -1,26 +1,36 @@
-"""Attribution reports: where the cycles went, against where they should.
+"""Run reports: where the cycles went, against where they should.
 
 The span profiler (:mod:`repro.observe.spans`) and metrics recorder
 (:mod:`repro.observe.metrics`) answer *what happened*; this module turns
-their raw output into the two run artifacts ``repro profile`` and
-``repro report`` exchange:
+their raw output into the one artifact of an engine run, and renders
+every instrumentation artifact of the repo as text:
 
-- :func:`build_profile_payload` assembles the ``repro-profile/1`` JSON:
-  the per-phase time table (worker phases shipped back through
+- :func:`build_run_report` assembles the ``repro-ld-metrics/1`` payload
+  that ``repro ld --engine … --metrics-out`` writes: the run's totals
+  and band geometry, the recorder's counters/timers/histograms, the
+  per-phase time table (worker phases shipped back through
   ``TileResult.phase_seconds`` joined with the driver's own spans), the
-  per-worker utilization timeline, the per-phase roofline
-  (measured-vs-modeled via :func:`repro.observe.modelcheck.
-  compare_phases_to_model`), the aggregate %-of-peak, and an anomaly
-  list flagging the failure smells the out-of-core GEMM literature
-  warns about (packing dominating compute, idle workers, unattributed
-  time, fault-path churn).
-- :func:`render_report` renders any of the repo's instrumentation
-  artifacts as text: ``repro-profile/1``, the ``repro-ld-metrics/1``
-  payload of ``ld --metrics-out``, a ``repro-trace/1`` (or pre-schema)
-  JSONL event trace, the ``repro-bench-gemm/1`` /
-  ``repro-bench-engine/1`` benchmark reports, and the accumulated
-  ``BENCH_history.jsonl``. :func:`render_file` sniffs JSON vs JSONL so
-  the CLI needs no format flag.
+  per-phase roofline (measured-vs-modelled via
+  :func:`repro.observe.modelcheck.compare_phases_to_model`), the
+  per-worker timeline, the aggregate %-of-peak model row, and the
+  anomaly list.
+- Each verdict has one derivation: :func:`model_row` decides when a
+  run is priced against the machine model (dense, nothing resumed,
+  nothing quarantined) and :func:`find_anomalies` is the one rule set
+  for the failure smells the out-of-core GEMM literature warns about
+  (I/O-bound sweeps, idle workers, unattributed time, fault-path
+  churn, a band that prunes nothing). The registry record takes its
+  %-of-peak and anomalies from the report; the live snapshot applies
+  both functions to its running totals, so no view can disagree.
+- :class:`WorkerTimeline` is the recorder sink behind the per-worker
+  timeline: it folds ``tile_computed`` events as they arrive, and the
+  live snapshot reads the same rows for its worker table.
+- :func:`render_report` renders the run report, a ``repro-trace/1`` (or
+  pre-schema) JSONL event trace, the ``repro-bench-gemm/1`` /
+  ``repro-bench-engine/1`` benchmark reports, the accumulated
+  ``BENCH_history.jsonl``, live snapshots and registry records.
+  :func:`render_file` sniffs JSON vs JSONL so the CLI needs no format
+  flag.
 
 The anomaly thresholds are deliberately coarse — the report flags what a
 performance engineer would double-take at, not statistical outliers.
@@ -30,22 +40,26 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from pathlib import Path
 
-from repro.core.blocking import BlockingParams
+from repro.core.banding import dense_pair_cells
 from repro.core.gemm import DEFAULT_KERNEL, resolve_blocking
 from repro.observe.modelcheck import compare_phases_to_model, compare_to_model
 
 __all__ = [
-    "PROFILE_SCHEMA",
+    "METRICS_SCHEMA",
     "UnknownSchemaError",
-    "build_profile_payload",
+    "WorkerTimeline",
+    "build_run_report",
+    "find_anomalies",
     "load_report_payload",
+    "model_row",
     "render_file",
     "render_report",
 ]
 
-PROFILE_SCHEMA = "repro-profile/1"
+METRICS_SCHEMA = "repro-ld-metrics/1"
 
 
 class UnknownSchemaError(ValueError):
@@ -61,17 +75,19 @@ class UnknownSchemaError(ValueError):
 IDLE_THRESHOLD = 0.15
 #: Span self-times must cover at least this share of measured tile compute.
 COVERAGE_FLOOR = 0.90
-#: Packing's measured share above this multiple of its modelled share flags.
-PACKING_RATIO = 2.0
-#: Prefetch stall above this share of the wall-clock flags an I/O-bound run.
+#: Prefetch stall above this share of the run flags an I/O-bound run.
 STALL_THRESHOLD = 0.10
 
 #: Span names recorded on the driver thread (plus the sink's ``mirror``);
-#: everything else in a profile's phase table arrived via the per-tile
+#: everything else in a report's phase table arrived via the per-tile
 #: ``phase.*`` timers, so taking only these from the driver profiler keeps
 #: the serial/threads engines (where worker spans land in the same
 #: profiler) from being counted twice.
 _DRIVER_PREFIX = "driver."
+
+#: The pool worker's wait between batches: a ``phase.*`` timer, but not
+#: part of any tile's compute time.
+_WORKER_IDLE = "phase.worker.idle"
 
 #: Event kinds that indicate the fault-tolerance machinery fired.
 _FAULT_KINDS = (
@@ -85,7 +101,214 @@ _FAULT_KINDS = (
 
 
 # ---------------------------------------------------------------------------
-# Payload assembly
+# The per-worker timeline: a recorder sink.
+# ---------------------------------------------------------------------------
+
+
+class WorkerTimeline:
+    """Recorder sink folding ``tile_computed`` events into per-worker rows.
+
+    ``ts`` is the driver-side delivery timestamp, so ``ts - compute_s``
+    approximates when the worker started the tile — good enough for
+    utilization and imbalance, which is what the report needs. Each row
+    also keeps ``last_seen``, the monotonic clock at the worker's latest
+    delivery, for the live snapshot's heartbeat column.
+    """
+
+    def __init__(self) -> None:
+        self.workers: dict[str, dict] = {}
+
+    def write(self, event: dict) -> None:
+        if event["kind"] != "tile_computed":
+            return
+        worker = str(event["worker"])
+        row = self.workers.get(worker)
+        if row is None:
+            row = self.workers[worker] = {
+                "n_tiles": 0, "busy_seconds": 0.0,
+                "first_ts": math.inf, "last_ts": 0.0, "last_seen": 0.0,
+            }
+        ts = float(event["ts"])
+        compute = float(event["compute_s"])
+        row["n_tiles"] += 1
+        row["busy_seconds"] += compute
+        row["first_ts"] = min(row["first_ts"], ts - compute)
+        row["last_ts"] = max(row["last_ts"], ts)
+        row["last_seen"] = time.monotonic()
+
+    def close(self) -> None:
+        """Nothing to flush; present for the sink protocol."""
+
+    def summary(self, seconds: float) -> dict:
+        """Worker rows with idle fractions over *seconds* of run, plus
+        utilization, imbalance and the worst idle fraction."""
+        rows = []
+        for worker in sorted(self.workers):
+            row = self.workers[worker]
+            rows.append({
+                "worker": worker,
+                "n_tiles": row["n_tiles"],
+                "busy_seconds": row["busy_seconds"],
+                "first_ts": max(0.0, row["first_ts"]),
+                "last_ts": row["last_ts"],
+                "idle_fraction": (
+                    max(0.0, 1.0 - row["busy_seconds"] / seconds)
+                    if seconds > 0 else 0.0
+                ),
+            })
+        busy = [row["busy_seconds"] for row in rows]
+        mean_busy = sum(busy) / len(busy) if busy else 0.0
+        return {
+            "workers": rows,
+            "utilization": (
+                sum(busy) / (len(busy) * seconds)
+                if busy and seconds > 0 else 0.0
+            ),
+            "imbalance": max(busy) / mean_busy if mean_busy > 0 else 1.0,
+            "max_idle_fraction": max(
+                (row["idle_fraction"] for row in rows), default=0.0
+            ),
+        }
+
+
+# ---------------------------------------------------------------------------
+# The verdicts: one derivation each.
+# ---------------------------------------------------------------------------
+
+
+def model_row(
+    n_snps: int,
+    k_words: int,
+    seconds: float,
+    *,
+    banded: bool,
+    n_skipped: int,
+    n_quarantined: int,
+) -> dict | None:
+    """The run's measured-vs-modelled %-of-peak row, or ``None``.
+
+    The model scores the dense lower-triangle Gram over the whole panel
+    at the blocking the engine runs, ``resolve_blocking(None,
+    DEFAULT_KERNEL)``. It is priced only when *seconds* covers exactly
+    that work: a banded run computes less than the dense triangle, and a
+    run with skipped (resumed) or quarantined tiles timed only part of
+    it — those rows would be nonsense throughputs, so they are absent.
+    """
+    if banded or n_skipped or n_quarantined or seconds <= 0:
+        return None
+    return compare_to_model(
+        n_snps, n_snps, k_words, seconds,
+        params=resolve_blocking(None, DEFAULT_KERNEL), symmetric=True,
+    ).as_dict()
+
+
+def _phase_coverage(recorder) -> float | None:
+    """Share of measured tile compute time the phase spans attribute.
+
+    ``None`` until a profiled tile has landed: a run without span
+    profiling has nothing to attribute, not an attribution gap.
+    """
+    compute = recorder.timers.get("engine.tile_compute_seconds")
+    # A list copy first: mid-run, prefetch threads may add timers.
+    phases = [
+        hist.total for key, hist in list(recorder.timers.items())
+        if key.startswith("phase.") and key != _WORKER_IDLE
+    ]
+    if compute is None or compute.total <= 0 or not phases:
+        return None
+    return sum(phases) / compute.total
+
+
+def find_anomalies(
+    recorder, timeline: WorkerTimeline, seconds: float
+) -> list[dict]:
+    """Flag the run's attribution smells, worst first by convention.
+
+    Judged on the recorder's totals and *timeline* over *seconds* of
+    run, so the live snapshot mid-run and the report at the end apply
+    this one rule set; at ``run_end`` both see the same totals and the
+    engine's ``engine.run_seconds``, and agree exactly.
+    """
+    counters = recorder.counters
+    out: list[dict] = []
+    # Banded runs count their pruned tiles, zero included; dense runs
+    # never touch the counter.
+    if counters.get("engine.tiles_pruned") == 0:
+        out.append({
+            "kind": "band_wasteful",
+            "detail": (
+                "the band covers every tile of the triangle — no tiles "
+                "can be pruned, so the run does dense work plus masking; "
+                "drop --window/--window-kb and run dense"
+            ),
+        })
+    stall = recorder.timers.get("prefetch.stall_seconds")
+    stall_seconds = stall.total if stall is not None else 0.0
+    if seconds > 0 and stall_seconds > STALL_THRESHOLD * seconds:
+        out.append({
+            "kind": "io_bound",
+            "detail": (
+                f"compute stalled {stall_seconds:.3g} s waiting on panel "
+                f"prefetch ({stall_seconds / seconds:.0%} of the run, "
+                f"threshold {STALL_THRESHOLD:.0%}) — disk bandwidth is the "
+                "bottleneck; raise --memory-budget or use faster storage"
+            ),
+        })
+    coverage = _phase_coverage(recorder)
+    if coverage is not None and coverage < COVERAGE_FLOOR:
+        out.append({
+            "kind": "span_coverage_low",
+            "detail": (
+                f"phase spans attribute only {coverage:.0%} of measured "
+                f"tile compute time (floor {COVERAGE_FLOOR:.0%}); the "
+                "remainder is unattributed"
+            ),
+        })
+    workers = timeline.summary(seconds)["workers"]
+    for row in workers:
+        if len(workers) > 1 and row["idle_fraction"] > IDLE_THRESHOLD:
+            out.append({
+                "kind": "worker_idle",
+                "detail": (
+                    f"worker {row['worker']} idle "
+                    f"{row['idle_fraction']:.0%} of the run "
+                    f"(threshold {IDLE_THRESHOLD:.0%}) — tile imbalance "
+                    "or dispatch starvation"
+                ),
+            })
+    retries = counters.get("engine.retries", 0)
+    if retries > 0:
+        out.append({
+            "kind": "tile_retries",
+            "detail": (
+                f"{retries} tile retr{'y' if retries == 1 else 'ies'} — "
+                "retry backoff time is in the driver.backoff phase"
+            ),
+        })
+    quarantined = counters.get("engine.tiles_quarantined", 0)
+    if quarantined > 0:
+        out.append({
+            "kind": "tiles_quarantined",
+            "detail": (
+                f"{quarantined} tile(s) quarantined; the matrix has holes "
+                "and the wall-clock excludes their work"
+            ),
+        })
+    degradations = counters.get("engine.degradations", 0)
+    if degradations > 0:
+        out.append({
+            "kind": "executor_degraded",
+            "detail": (
+                f"executor degraded {degradations} time(s) to a simpler "
+                "backend (engine_used names the one that finished); the "
+                "worker timeline reflects the fallback executor"
+            ),
+        })
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The run report
 # ---------------------------------------------------------------------------
 
 
@@ -117,296 +340,120 @@ def _phase_table(recorder, profiler) -> dict[str, dict]:
     return phases
 
 
-def _worker_timeline(events: list[dict], wall_seconds: float) -> dict:
-    """Per-worker busy/idle accounting from retained ``tile_computed`` events.
-
-    ``ts`` is the driver-side delivery timestamp, so ``ts - compute_s``
-    approximates when the worker started the tile — good enough for
-    utilization and imbalance, which is what the report needs.
-    """
-    per: dict[str, dict] = {}
-    for event in events:
-        if event.get("kind") != "tile_computed":
-            continue
-        worker = str(event.get("worker", "?"))
-        ts = float(event.get("ts", 0.0))
-        compute = float(event.get("compute_s", 0.0))
-        row = per.setdefault(worker, {
-            "worker": worker,
-            "n_tiles": 0,
-            "busy_seconds": 0.0,
-            "first_ts": math.inf,
-            "last_ts": 0.0,
-        })
-        row["n_tiles"] += 1
-        row["busy_seconds"] += compute
-        row["first_ts"] = min(row["first_ts"], ts - compute)
-        row["last_ts"] = max(row["last_ts"], ts)
-    rows = sorted(per.values(), key=lambda r: r["worker"])
-    busy = [row["busy_seconds"] for row in rows]
-    for row in rows:
-        row["first_ts"] = max(0.0, row["first_ts"])
-        row["idle_fraction"] = (
-            max(0.0, 1.0 - row["busy_seconds"] / wall_seconds)
-            if wall_seconds > 0 else 0.0
-        )
-    mean_busy = sum(busy) / len(busy) if busy else 0.0
-    return {
-        "workers": rows,
-        "utilization": (
-            sum(busy) / (len(busy) * wall_seconds)
-            if busy and wall_seconds > 0 else 0.0
-        ),
-        "imbalance": max(busy) / mean_busy if mean_busy > 0 else 1.0,
-        "max_idle_fraction": (
-            max(row["idle_fraction"] for row in rows) if rows else 0.0
-        ),
-    }
-
-
-def packing_anomalies(
-    recorder,
-    n_snps: int,
-    k_words: int,
-    params: BlockingParams | None = None,
-) -> list[dict]:
-    """The ``packing_heavy`` anomaly for *recorder*'s tile phases, if any.
-
-    Operand packing (``pack_a`` + ``pack_b``) is flagged when its share
-    of the tile phase time (the ``phase.*`` timers; driver spans are not
-    tile compute, which is all the model decomposes) exceeds
-    ``PACKING_RATIO`` times the share the model gives it on the
-    ``n_snps`` Gram at the blocking the engine ran,
-    ``resolve_blocking(params, DEFAULT_KERNEL)``. ``repro report`` and
-    the live snapshot both judge with this one function.
-    """
-    measured = {
-        key[len("phase."):]: hist.total
-        for key, hist in recorder.timers.items()
-        if key.startswith("phase.")
-    }
-    if not any(name in measured for name in ("pack_a", "pack_b")):
-        return []
-    rows = compare_phases_to_model(
-        measured, n_snps, n_snps, k_words,
-        params=resolve_blocking(params, DEFAULT_KERNEL), symmetric=True,
-    )
-    packing = [row for row in rows if row.name in ("pack_a", "pack_b")]
-    pack_measured = sum(row.measured_share or 0.0 for row in packing)
-    pack_modeled = sum(row.modeled_share for row in packing)
-    if pack_modeled <= 0 or pack_measured <= PACKING_RATIO * pack_modeled:
-        return []
-    return [{
-        "kind": "packing_heavy",
-        "detail": (
-            f"operand packing took {pack_measured:.0%} of tile "
-            f"phase time vs {pack_modeled:.0%} modelled "
-            f"(>{PACKING_RATIO:.0f}x) — reuse below model assumptions; "
-            "check blocking parameters against cache sizes"
-        ),
-    }]
-
-
-def _find_anomalies(
-    timeline: dict,
-    tiles: dict,
-    report,
-    profiler,
-    stall_seconds: float = 0.0,
-    wall_seconds: float = 0.0,
-    workload: dict | None = None,
-) -> list[dict]:
-    """Flag the run's attribution smells, worst first by convention."""
-    out: list[dict] = []
-    band = (workload or {}).get("band") or {}
-    band_width = band.get("window") or band.get("index_width") or 0
-    n_snps = int((workload or {}).get("n_snps") or 0)
-    if band_width and n_snps and band_width >= n_snps:
-        out.append({
-            "kind": "band_wasteful",
-            "detail": (
-                f"band window {band_width} covers the whole "
-                f"{n_snps}-SNP triangle — no tiles can be pruned; "
-                "drop --window/--window-kb and run dense"
-            ),
-        })
-    if wall_seconds > 0 and stall_seconds > STALL_THRESHOLD * wall_seconds:
-        out.append({
-            "kind": "io_bound",
-            "detail": (
-                f"compute stalled {stall_seconds:.3g} s waiting on panel "
-                f"prefetch ({stall_seconds / wall_seconds:.0%} of wall, "
-                f"threshold {STALL_THRESHOLD:.0%}) — disk bandwidth is the "
-                "bottleneck; raise --memory-budget or use faster storage"
-            ),
-        })
-    coverage = tiles.get("phase_coverage")
-    if coverage is not None and coverage < COVERAGE_FLOOR:
-        out.append({
-            "kind": "span_coverage_low",
-            "detail": (
-                f"phase spans attribute only {coverage:.0%} of measured "
-                f"tile compute time (floor {COVERAGE_FLOOR:.0%}); the "
-                "remainder is unattributed"
-            ),
-        })
-    for row in timeline["workers"]:
-        if len(timeline["workers"]) > 1 and (
-            row["idle_fraction"] > IDLE_THRESHOLD
-        ):
-            out.append({
-                "kind": "worker_idle",
-                "detail": (
-                    f"worker {row['worker']} idle "
-                    f"{row['idle_fraction']:.0%} of the run "
-                    f"(threshold {IDLE_THRESHOLD:.0%}) — tile imbalance "
-                    "or dispatch starvation"
-                ),
-            })
-    if report.n_retries > 0:
-        out.append({
-            "kind": "tile_retries",
-            "detail": (
-                f"{report.n_retries} tile retr"
-                f"{'y' if report.n_retries == 1 else 'ies'} — retry "
-                "backoff time is in the driver.backoff phase"
-            ),
-        })
-    if report.n_quarantined > 0:
-        out.append({
-            "kind": "tiles_quarantined",
-            "detail": (
-                f"{report.n_quarantined} tile(s) quarantined; the matrix "
-                "has holes and the wall-clock excludes their work"
-            ),
-        })
-    if report.degraded:
-        out.append({
-            "kind": "executor_degraded",
-            "detail": (
-                f"executor degraded {report.engine} -> "
-                f"{report.engine_used}; worker timeline reflects the "
-                "fallback executor"
-            ),
-        })
-    if profiler.n_dropped > 0:
-        out.append({
-            "kind": "spans_dropped",
-            "detail": (
-                f"{profiler.n_dropped} span(s) dropped on buffer "
-                "overflow; raise SpanProfiler(capacity=...) for full "
-                "attribution"
-            ),
-        })
-    return out
-
-
-def build_profile_payload(
+def build_run_report(
     *,
     recorder,
     profiler,
+    timeline: WorkerTimeline,
     report,
     wall_seconds: float,
-    workload: dict,
-    params: BlockingParams | None = None,
+    stat: str,
+    n_snps: int,
+    n_samples: int,
+    k_words: int,
+    block_snps: int,
+    band=None,
+    window_kb: float | None = None,
 ) -> dict:
-    """Assemble the ``repro-profile/1`` attribution payload for one run.
+    """Assemble the ``repro-ld-metrics/1`` run report of one engine run.
 
     Parameters
     ----------
     recorder:
         The :class:`~repro.observe.metrics.MetricsRecorder` the engine
-        ran with. Worker-side phase times arrive here (the ``phase.*``
-        timers fed from each tile's ``TileResult.phase_seconds``); the
-        per-worker timeline needs ``keep_events=True`` so
-        ``tile_computed`` events are retained (without it the timeline
-        is empty, not wrong).
+        ran with: its counters, timers and histograms are the report's
+        raw totals, its ``run_id`` the run's identity, and the per-tile
+        ``phase.*`` timers (fed from ``TileResult.phase_seconds``) the
+        worker side of the phase table.
     profiler:
-        The driver-side :class:`~repro.observe.spans.SpanProfiler`
-        passed to :func:`repro.core.engine.run_engine` — ``driver.*``
-        spans and the output sink's ``mirror`` spans live here.
+        The :class:`~repro.observe.spans.SpanProfiler` installed around
+        the run — ``driver.*`` spans, the sink's ``mirror`` spans and
+        the prefetcher's ``io.*`` spans live here.
+    timeline:
+        The :class:`WorkerTimeline` sink attached to *recorder*.
     report:
         The run's :class:`~repro.core.engine.EngineReport`.
     wall_seconds:
-        Driver wall-clock of the run (must be positive).
-    workload:
-        Problem description. ``n_snps`` and ``k_words`` are required —
-        they fix the roofline's GEMM shape — everything else (engine,
-        workers, stat, samples, block size) is carried through verbatim.
-    params:
-        Blocking the run executed (default: the engine's, i.e.
-        ``resolve_blocking(None, DEFAULT_KERNEL)``), so the model charges
-        the fringe padding that actually ran.
+        Driver wall-clock of the run (must be positive); the model row
+        and the throughput are scored against it. The timeline and the
+        anomaly rules use the engine's own ``engine.run_seconds``, the
+        span the live snapshot ends on.
+    stat, n_snps, n_samples, k_words, block_snps:
+        The problem the run solved.
+    band, window_kb:
+        The run's :class:`~repro.core.banding.BandSpec` (``None`` for a
+        dense run) and, for a genomic band, the ``--window-kb`` it came
+        from.
     """
     if wall_seconds <= 0:
         raise ValueError(f"wall_seconds must be positive, got {wall_seconds}")
-    for key in ("n_snps", "k_words"):
-        if key not in workload:
-            raise ValueError(f"workload must carry {key!r}")
-    blocking = resolve_blocking(params, DEFAULT_KERNEL)
-    n_snps = int(workload["n_snps"])
-    k_words = int(workload["k_words"])
-
-    phases = _phase_table(recorder, profiler)
-    compute_hist = recorder.timers.get("engine.tile_compute_seconds")
-    worker_seconds = sum(
-        row["seconds"] for row in phases.values() if row["where"] == "worker"
-    )
-    tiles = {
+    run_hist = recorder.timers.get("engine.run_seconds")
+    if run_hist is None:
+        raise ValueError(
+            "recorder holds no engine.run_seconds; build the report from "
+            "the recorder the engine ran with"
+        )
+    run_seconds = run_hist.total
+    pairs_computed = recorder.counters.get("engine.pairs_computed", 0)
+    payload = {
+        "schema": METRICS_SCHEMA,
+        "run_id": recorder.run_id,
+        "engine": report.engine,
+        "workers": report.n_workers,
+        "stat": stat,
+        "n_snps": n_snps,
+        "n_samples": n_samples,
+        "k_words": k_words,
+        "block_snps": block_snps,
         "n_tiles": report.n_tiles,
         "n_computed": report.n_computed,
         "n_skipped": report.n_skipped,
         "n_retries": report.n_retries,
         "n_quarantined": report.n_quarantined,
+        "quarantined": [list(t) for t in report.quarantined],
         "n_batches": report.n_batches,
-        "compute_seconds": (
-            compute_hist.summary() if compute_hist is not None else None
-        ),
-        # Fraction of measured tile compute the spans account for; the
-        # acceptance bar is that self-times sum to within 10% of the
-        # per-tile wall-clock they decompose.
-        "phase_coverage": (
-            worker_seconds / compute_hist.total
-            if compute_hist is not None and compute_hist.total > 0 else None
-        ),
-    }
-    timeline = _worker_timeline(recorder.events, wall_seconds)
-    measured = {name: row["seconds"] for name, row in phases.items()}
-    roofline = [
-        cmp.as_dict()
-        for cmp in compare_phases_to_model(
-            measured, n_snps, n_snps, k_words,
-            params=blocking, symmetric=True,
-        )
-    ]
-    model = None
-    if report.complete and report.n_skipped == 0:
-        model = compare_to_model(
-            n_snps, n_snps, k_words, wall_seconds,
-            params=blocking, symmetric=True,
-        ).as_dict()
-    payload = {
-        "schema": PROFILE_SCHEMA,
-        "workload": dict(workload),
-        "wall_seconds": wall_seconds,
-        "engine": report.engine,
         "engine_used": report.engine_used or report.engine,
-        "workers": report.n_workers,
-        "phases": phases,
-        "tiles": tiles,
-        "timeline": timeline,
-        "roofline": roofline,
-        "spans_dropped": profiler.n_dropped,
+        "wall_seconds": wall_seconds,
+        "pairs_computed": pairs_computed,
+        "pairs_per_second": pairs_computed / wall_seconds,
     }
+    if band is not None:
+        pairs_dense = dense_pair_cells(n_snps, block_snps)
+        payload["band"] = {
+            "window": band.window,
+            "window_kb": window_kb,
+            "max_distance": band.max_distance,
+            "index_width": band.index_width(n_snps),
+            "tiles_dense": report.n_tiles + report.n_pruned,
+            "tiles_pruned": report.n_pruned,
+            "tiles_partial": report.n_partial,
+            "tiles_full": report.n_tiles - report.n_partial,
+            "pairs_in_band": report.band_pairs,
+            "pairs_dense": pairs_dense,
+            "predicted_speedup": (
+                pairs_dense / report.band_pairs if report.band_pairs else None
+            ),
+        }
+    model = model_row(
+        n_snps, k_words, wall_seconds, banded=band is not None,
+        n_skipped=report.n_skipped, n_quarantined=report.n_quarantined,
+    )
     if model is not None:
         payload["model"] = model
-    stall_hist = recorder.timers.get("prefetch.stall_seconds")
-    payload["anomalies"] = _find_anomalies(
-        timeline, tiles, report, profiler,
-        stall_seconds=stall_hist.total if stall_hist is not None else 0.0,
-        wall_seconds=wall_seconds,
-        workload=workload,
-    ) + packing_anomalies(recorder, n_snps, k_words, params)
+    phases = _phase_table(recorder, profiler)
+    payload["phases"] = phases
+    payload["roofline"] = [
+        cmp.as_dict()
+        for cmp in compare_phases_to_model(
+            {name: row["seconds"] for name, row in phases.items()},
+            n_snps, n_snps, k_words,
+            params=resolve_blocking(None, DEFAULT_KERNEL), symmetric=True,
+        )
+    ]
+    payload["timeline"] = timeline.summary(run_seconds)
+    payload["phase_coverage"] = _phase_coverage(recorder)
+    payload["anomalies"] = find_anomalies(recorder, timeline, run_seconds)
+    payload.update(recorder.summary())
     return payload
 
 
@@ -427,44 +474,22 @@ def _fmt_ratio(ratio: float | None) -> str:
     return "--" if ratio is None else f"{ratio:.2f}x"
 
 
-def _render_profile(payload: dict) -> str:
-    work = payload.get("workload", {})
-    band = work.get("band") or {}
-    band_note = ""
-    if band.get("window"):
-        band_note = f" | band {band['window']} SNPs"
-    elif band.get("window_kb") is not None:
-        band_note = f" | band {band['window_kb']:g} kb"
-    lines = [
-        f"profile ({payload['schema']}): engine={payload.get('engine', '?')} "
-        f"workers={payload.get('workers', '?')} "
-        f"stat={work.get('stat', '?')} "
-        f"{work.get('n_snps', '?')} SNPs x {work.get('n_samples', '?')} "
-        f"samples ({work.get('k_words', '?')} words/SNP)" + band_note,
-    ]
-    tiles = payload.get("tiles", {})
-    coverage = tiles.get("phase_coverage")
-    lines.append(
-        f"wall {payload['wall_seconds']:.3f} s | "
-        f"{tiles.get('n_computed', '?')}/{tiles.get('n_tiles', '?')} tiles "
-        f"computed ({tiles.get('n_skipped', 0)} skipped, "
-        f"{tiles.get('n_retries', 0)} retries, "
-        f"{tiles.get('n_quarantined', 0)} quarantined) | "
-        f"span coverage "
-        f"{'--' if coverage is None else f'{coverage:.1%}'}"
-    )
-    lines.append("")
-    lines.append(f"{'phase':<22} {'where':>6} {'seconds':>10} "
-                 f"{'share':>7} {'count':>8}")
-    phases = payload.get("phases", {})
-    for name, row in sorted(
-        phases.items(), key=lambda kv: -kv[1]["seconds"]
-    ):
-        lines.append(
-            f"{name:<22} {row['where']:>6} {row['seconds']:>10.4g} "
-            f"{_fmt_share(row.get('share')):>7} {row['count']:>8}"
-        )
-    roofline = payload.get("roofline", [])
+def _render_phases(payload: dict) -> list[str]:
+    """The phase table, roofline and worker timeline of a run report."""
+    lines: list[str] = []
+    phases = payload.get("phases")
+    if phases:
+        lines.append("")
+        lines.append(f"{'phase':<22} {'where':>6} {'seconds':>10} "
+                     f"{'share':>7} {'count':>8}")
+        for name, row in sorted(
+            phases.items(), key=lambda kv: -kv[1]["seconds"]
+        ):
+            lines.append(
+                f"{name:<22} {row['where']:>6} {row['seconds']:>10.4g} "
+                f"{_fmt_share(row.get('share')):>7} {row['count']:>8}"
+            )
+    roofline = payload.get("roofline")
     if roofline:
         lines.append("")
         lines.append("roofline (shares of each side's own total):")
@@ -477,8 +502,8 @@ def _render_profile(payload: dict) -> str:
                 f"{_fmt_share(row['modeled_share']):>9} "
                 f"{_fmt_ratio(row['measured_vs_modeled']):>8}"
             )
-    timeline = payload.get("timeline", {})
-    workers = timeline.get("workers", [])
+    timeline = payload.get("timeline") or {}
+    workers = timeline.get("workers")
     if workers:
         lines.append("")
         lines.append(
@@ -495,43 +520,48 @@ def _render_profile(payload: dict) -> str:
                 f"{row['idle_fraction']:>6.1%} "
                 f"{row['first_ts']:>7.2f}..{row['last_ts']:<.2f}"
             )
-    else:
-        lines.append("")
-        lines.append("workers: no tile_computed events retained "
-                     "(recorder ran without keep_events)")
-    model = payload.get("model")
-    if model is not None:
-        lines.append("")
-        lines.append(
-            f"model: measured {model['measured_percent_of_peak']:.2f}% of "
-            f"peak vs modeled {model['modeled_percent_of_peak']:.2f}% "
-            f"({model['measured_vs_modeled']:.2f}x model)"
-        )
-    anomalies = payload.get("anomalies", [])
-    lines.append("")
-    if anomalies:
-        lines.append(f"anomalies ({len(anomalies)}):")
-        for anomaly in anomalies:
-            lines.append(f"  - {anomaly['kind']}: {anomaly['detail']}")
-    else:
-        lines.append("anomalies: none")
-    return "\n".join(lines)
+    return lines
 
 
 def _render_metrics(payload: dict) -> str:
+    band = payload.get("band")
+    coverage = payload.get("phase_coverage")
     lines = [
-        f"metrics ({payload['schema']}): engine={payload.get('engine', '?')} "
+        f"run report ({payload['schema']}): "
+        f"engine={payload.get('engine', '?')} "
         f"workers={payload.get('workers', '?')} "
         f"stat={payload.get('stat', '?')} "
         f"{payload.get('n_snps', '?')} SNPs x "
-        f"{payload.get('n_samples', '?')} samples",
+        f"{payload.get('n_samples', '?')} samples"
+        + (f" | run {payload['run_id']}" if payload.get("run_id") else ""),
         f"wall {payload.get('wall_seconds', 0.0):.3f} s | "
         f"{payload.get('n_computed', '?')}/{payload.get('n_tiles', '?')} "
         f"tiles ({payload.get('n_skipped', 0)} skipped, "
         f"{payload.get('n_retries', 0)} retries, "
         f"{payload.get('n_quarantined', 0)} quarantined) | "
-        f"{payload.get('pairs_per_second', 0.0):,.0f} pairs/s",
+        f"{payload.get('pairs_per_second', 0.0):,.0f} pairs/s"
+        + (f" | span coverage {coverage:.1%}" if coverage is not None
+           else ""),
     ]
+    if band is not None:
+        if band.get("window"):
+            extent = f"window {band['window']} SNPs"
+        else:
+            extent = (
+                f"window {band.get('max_distance', 0.0):g} bp "
+                f"(index width {band.get('index_width', '?')})"
+            )
+        speedup = band.get("predicted_speedup")
+        lines.append(
+            f"band: {extent} | tiles {band.get('tiles_pruned', 0)} pruned / "
+            f"{band.get('tiles_partial', 0)} partial / "
+            f"{band.get('tiles_full', 0)} full of "
+            f"{band.get('tiles_dense', '?')} dense | "
+            f"{band.get('pairs_in_band', 0):,} of "
+            f"{band.get('pairs_dense', 0):,} pair cells "
+            f"(predicted speedup "
+            f"{'--' if speedup is None else format(speedup, '.2f') + 'x'})"
+        )
     counters = payload.get("counters", {})
     events = {k: v for k, v in counters.items() if k.startswith("events.")}
     if events:
@@ -552,27 +582,7 @@ def _render_metrics(payload: dict) -> str:
                 f"{_fmt_seconds(summary.get('p95')):>9} "
                 f"{_fmt_seconds(summary.get('p99')):>9}"
             )
-    band = payload.get("band")
-    if band is not None:
-        if band.get("window"):
-            extent = f"window {band['window']} SNPs"
-        else:
-            extent = (
-                f"window {band.get('max_distance', 0.0):g} bp "
-                f"(index width {band.get('index_width', '?')})"
-            )
-        speedup = band.get("predicted_speedup")
-        lines.append("")
-        lines.append(
-            f"band: {extent} | tiles {band.get('tiles_pruned', 0)} pruned / "
-            f"{band.get('tiles_partial', 0)} partial / "
-            f"{band.get('tiles_full', 0)} full of "
-            f"{band.get('tiles_dense', '?')} dense | "
-            f"{band.get('pairs_in_band', 0):,} of "
-            f"{band.get('pairs_dense', 0):,} pair cells "
-            f"(predicted speedup "
-            f"{'--' if speedup is None else format(speedup, '.2f') + 'x'})"
-        )
+    lines.extend(_render_phases(payload))
     model = payload.get("model")
     if model is not None:
         lines.append("")
@@ -581,6 +591,15 @@ def _render_metrics(payload: dict) -> str:
             f"peak vs modeled {model['modeled_percent_of_peak']:.2f}% "
             f"({model['measured_vs_modeled']:.2f}x model)"
         )
+    anomalies = payload.get("anomalies")
+    if anomalies is not None:
+        lines.append("")
+        if anomalies:
+            lines.append(f"anomalies ({len(anomalies)}):")
+            for anomaly in anomalies:
+                lines.append(f"  - {anomaly['kind']}: {anomaly['detail']}")
+        else:
+            lines.append("anomalies: none")
     return "\n".join(lines)
 
 
@@ -690,8 +709,7 @@ def _render_run(payload: dict) -> str:
 
 
 _RENDERERS = {
-    "repro-profile/1": _render_profile,
-    "repro-ld-metrics/1": _render_metrics,
+    METRICS_SCHEMA: _render_metrics,
     "repro-bench-gemm/1": _render_bench_gemm,
     "repro-bench-banded/1": _render_bench_banded,
     "repro-bench-engine/1": _render_bench_engine,
@@ -703,9 +721,10 @@ _RENDERERS = {
 def render_report(payload: dict | list) -> str:
     """Render any instrumentation artifact as text, dispatched by schema.
 
-    Accepts a single payload dict (``repro-profile/1``,
-    ``repro-ld-metrics/1``, ``repro-bench-gemm/1``,
-    ``repro-bench-engine/1``) or a list of JSONL records — an event
+    Accepts a single payload dict (the ``repro-ld-metrics/1`` run
+    report, ``repro-bench-gemm/1``, ``repro-bench-banded/1``,
+    ``repro-bench-engine/1``, ``repro-live/1``, ``repro-run/1``) or a
+    list of JSONL records — an event
     trace (``repro-trace/1``, or the pre-schema traces earlier runs
     wrote: anything whose records carry ``kind``) or a bench history
     (one bench payload per line, newest rendered last).

@@ -17,18 +17,16 @@ Design constraints, in order:
    — the disabled cost is a global load, a method call, and an empty
    ``with`` block per *phase* (a handful per cache block, never per
    micro-tile).
-2. **No hot-loop allocation when enabled.** Each thread records into
-   preallocated flat numpy buffers (name id, depth, start, inclusive
-   seconds, self seconds); entering a span appends to a plain-list
-   stack, exiting writes one row. Overflowing the per-thread capacity
-   drops spans (counted in :attr:`SpanProfiler.n_dropped`) rather than
-   growing.
-3. **Self-time attribution.** Every record carries both inclusive and
-   *self* (exclusive) seconds — a parent's self time is its inclusive
-   time minus its children's — so per-phase totals are disjoint and sum
-   to the root spans' wall-clock, which is what lets the attribution
-   engine (:mod:`repro.observe.report`) check coverage against each
-   tile's measured compute seconds.
+2. **Bounded state when enabled.** Each thread keeps running totals
+   per span name (self seconds, count, inclusive seconds) plus a
+   plain-list stack of open spans; exiting a span adds to one totals
+   row. Nothing grows with the number of spans recorded, so a profiler
+   can stay on for a run of any tile count.
+3. **Self-time attribution.** Every span's *self* (exclusive) seconds —
+   its inclusive time minus its children's — go to its row, so
+   per-phase totals are disjoint and sum to the root spans' wall-clock,
+   which is what lets the run report (:mod:`repro.observe.report`)
+   check coverage against each tile's measured compute seconds.
 
 Worker processes cannot share the driver's profiler; each pool worker
 installs its own when a run asks for profiling (see
@@ -42,32 +40,16 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 __all__ = [
     "NULL_PROFILER",
     "SpanProfiler",
-    "SpanRecord",
     "current_profiler",
     "install_profiler",
     "profiling",
     "span",
 ]
-
-
-@dataclass(frozen=True)
-class SpanRecord:
-    """One completed span: where time went, and under what parent depth."""
-
-    name: str
-    thread: str
-    depth: int
-    start: float
-    inclusive_seconds: float
-    self_seconds: float
 
 
 class _NullSpan:
@@ -96,44 +78,34 @@ class _NullProfiler:
     __slots__ = ()
 
     enabled = False
-    n_dropped = 0
 
     def span(self, name: str) -> _NullSpan:
         return _NULL_SPAN
 
-    def mark(self) -> int:
-        return 0
+    def mark(self) -> None:
+        return None
 
-    def collect(self, mark: int) -> dict[str, float]:
+    def collect(self, mark: object) -> dict[str, float]:
         return {}
 
     def totals(self) -> dict[str, dict]:
         return {}
-
-    def records(self) -> list[SpanRecord]:
-        return []
 
 
 #: The shared disabled singleton (identity-comparable).
 NULL_PROFILER = _NullProfiler()
 
 
-class _ThreadBuffer:
-    """One thread's preallocated span storage plus its open-span stack."""
+class _ThreadTotals:
+    """One thread's running totals plus its open-span stack."""
 
-    __slots__ = ("name_ids", "depths", "starts", "incl", "self_s", "pos",
-                 "stack", "thread_name")
+    __slots__ = ("rows", "stack")
 
-    def __init__(self, capacity: int, thread_name: str) -> None:
-        self.name_ids = np.empty(capacity, dtype=np.int32)
-        self.depths = np.empty(capacity, dtype=np.int32)
-        self.starts = np.empty(capacity, dtype=np.float64)
-        self.incl = np.empty(capacity, dtype=np.float64)
-        self.self_s = np.empty(capacity, dtype=np.float64)
-        self.pos = 0
-        #: Open spans: [name_id, start_seconds, child_inclusive_accum].
+    def __init__(self) -> None:
+        #: Span name -> [self seconds, count, inclusive seconds].
+        self.rows: dict[str, list] = {}
+        #: Open spans: [name, start_seconds, child_inclusive_accum].
         self.stack: list[list] = []
-        self.thread_name = thread_name
 
 
 class _SpanExit:
@@ -154,14 +126,7 @@ class _SpanExit:
 
 
 class SpanProfiler:
-    """Hierarchical wall-clock span profiler with per-thread buffers.
-
-    Parameters
-    ----------
-    capacity:
-        Spans retained per thread. Overflow drops the span (counted in
-        :attr:`n_dropped`); at the engine's phase granularity the default
-        holds >1000 tiles per worker thread.
+    """Hierarchical wall-clock span profiler with per-thread totals.
 
     Usage::
 
@@ -179,124 +144,82 @@ class SpanProfiler:
 
     enabled = True
 
-    def __init__(self, capacity: int = 1 << 16) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.n_dropped = 0
-        self.t0 = time.perf_counter()
+    def __init__(self) -> None:
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._name_ids: dict[str, int] = {}
-        self._names: list[str] = []
-        self._buffers: list[_ThreadBuffer] = []
+        self._threads: list[_ThreadTotals] = []
         self._exit_ctx = _SpanExit(self)
 
     # -- recording ---------------------------------------------------------
 
-    def _buffer(self) -> _ThreadBuffer:
-        buf = getattr(self._local, "buf", None)
-        if buf is None:
-            buf = _ThreadBuffer(self.capacity, threading.current_thread().name)
-            self._local.buf = buf
+    def _state(self) -> _ThreadTotals:
+        state = getattr(self._local, "state", None)
+        if state is None:
+            state = self._local.state = _ThreadTotals()
             with self._lock:
-                self._buffers.append(buf)
-        return buf
-
-    def _name_id(self, name: str) -> int:
-        nid = self._name_ids.get(name)
-        if nid is None:
-            with self._lock:
-                nid = self._name_ids.get(name)
-                if nid is None:
-                    nid = len(self._names)
-                    self._names.append(name)
-                    self._name_ids[name] = nid
-        return nid
+                self._threads.append(state)
+        return state
 
     def span(self, name: str) -> _SpanExit:
         """Open span *name* now; close it when the returned context exits."""
-        buf = self._buffer()
-        buf.stack.append([self._name_id(name), time.perf_counter(), 0.0])
+        self._state().stack.append([name, time.perf_counter(), 0.0])
         return self._exit_ctx
 
     def _exit(self) -> None:
         end = time.perf_counter()
-        buf = self._buffer()
-        name_id, start, child_accum = buf.stack.pop()
+        state = self._state()
+        name, start, child_accum = state.stack.pop()
         inclusive = end - start
-        if buf.stack:
-            buf.stack[-1][2] += inclusive
-        pos = buf.pos
-        if pos >= self.capacity:
-            self.n_dropped += 1
-            return
-        buf.name_ids[pos] = name_id
-        buf.depths[pos] = len(buf.stack)
-        buf.starts[pos] = start - self.t0
-        buf.incl[pos] = inclusive
-        buf.self_s[pos] = inclusive - child_accum
-        buf.pos = pos + 1
+        if state.stack:
+            state.stack[-1][2] += inclusive
+        row = state.rows.get(name)
+        if row is None:
+            row = state.rows[name] = [0.0, 0, 0.0]
+        row[0] += inclusive - child_accum
+        row[1] += 1
+        row[2] += inclusive
 
     # -- querying ----------------------------------------------------------
 
-    def mark(self) -> int:
-        """Current record position of the calling thread's buffer.
+    def mark(self) -> dict[str, tuple[float, int]]:
+        """The calling thread's totals now, as ``name -> (self s, count)``.
 
         Pass the value to :meth:`collect` to aggregate only the spans
-        recorded in between (the per-tile collection window).
+        closed in between (the per-tile collection window).
         """
-        return self._buffer().pos
+        return {
+            name: (row[0], row[1]) for name, row in self._state().rows.items()
+        }
 
-    def collect(self, mark: int) -> dict[str, float]:
-        """Per-name *self* seconds recorded on this thread since *mark*.
+    def collect(self, mark: dict[str, tuple[float, int]]) -> dict[str, float]:
+        """Per-name *self* seconds closed on this thread since *mark*.
 
         Self times are disjoint by construction, so the dict's values sum
         to the wall-clock covered by the root spans in the window — the
         per-tile phase breakdown shipped in ``TileResult.phase_seconds``.
         """
-        buf = self._buffer()
         out: dict[str, float] = {}
-        names = self._names
-        for i in range(mark, buf.pos):
-            name = names[buf.name_ids[i]]
-            out[name] = out.get(name, 0.0) + float(buf.self_s[i])
+        for name, (seconds, count, _inclusive) in self._state().rows.items():
+            before_seconds, before_count = mark.get(name, (0.0, 0))
+            if count != before_count:
+                out[name] = seconds - before_seconds
         return out
 
     def totals(self) -> dict[str, dict]:
         """Aggregate over every thread: per-name seconds/count/inclusive."""
         out: dict[str, dict] = {}
         with self._lock:
-            buffers = list(self._buffers)
-        for buf in buffers:
-            pos = buf.pos
-            for i in range(pos):
-                name = self._names[buf.name_ids[i]]
+            threads = list(self._threads)
+        for state in threads:
+            for name, (seconds, count, inclusive) in list(state.rows.items()):
                 entry = out.get(name)
                 if entry is None:
                     entry = out[name] = {
                         "seconds": 0.0, "count": 0, "inclusive_seconds": 0.0,
                     }
-                entry["seconds"] += float(buf.self_s[i])
-                entry["count"] += 1
-                entry["inclusive_seconds"] += float(buf.incl[i])
-        return out
-
-    def records(self) -> list[SpanRecord]:
-        """Every completed span across all threads, in per-thread order."""
-        out: list[SpanRecord] = []
-        with self._lock:
-            buffers = list(self._buffers)
-        for buf in buffers:
-            for i in range(buf.pos):
-                out.append(SpanRecord(
-                    name=self._names[buf.name_ids[i]],
-                    thread=buf.thread_name,
-                    depth=int(buf.depths[i]),
-                    start=float(buf.starts[i]),
-                    inclusive_seconds=float(buf.incl[i]),
-                    self_seconds=float(buf.self_s[i]),
-                ))
+                entry["seconds"] += seconds
+                entry["count"] += count
+                entry["inclusive_seconds"] += inclusive
         return out
 
 

@@ -273,6 +273,7 @@ class TestPersistentChaos:
         from repro.observe.live import (
             LivePublisher, read_snapshot, render_top,
         )
+        from repro.observe.report import WorkerTimeline
 
         n = chaos_panel.shape[1]
         plan = FaultPlan(seed=7, specs=(
@@ -280,11 +281,12 @@ class TestPersistentChaos:
                       attempts_below=1),
         ))
         recorder = MetricsRecorder()
+        timeline = WorkerTimeline()
         live = LivePublisher(
-            tmp_path / "live.json", recorder=recorder, interval=0.01,
-            config={"engine": "persistent", "stat": "r2"},
+            tmp_path / "live.json", recorder=recorder, timeline=timeline,
+            interval=0.01, config={"engine": "persistent", "stat": "r2"},
         )
-        recorder.sinks.append(live)
+        recorder.sinks.extend([timeline, live])
         out = tmp_path / "killed.npy"
         with NpyMemmapSink(out, n) as sink:
             report = run_engine(

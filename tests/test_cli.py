@@ -201,8 +201,8 @@ class TestLdEngineOption:
 
     @pytest.mark.parametrize(
         "flag", [["--progress"], ["--metrics-out", "m.json"],
-                 ["--trace-out", "t.jsonl"], ["--profile-out", "p.json"]],
-        ids=["progress", "metrics-out", "trace-out", "profile-out"],
+                 ["--trace-out", "t.jsonl"]],
+        ids=["progress", "metrics-out", "trace-out"],
     )
     def test_instrumentation_flags_require_engine(
         self, ms_panel, tmp_path, flag
@@ -278,26 +278,24 @@ class TestLdEngineOption:
     def test_model_prices_the_blocking_the_engine_ran(
         self, ms_panel, tmp_path
     ):
-        """The metrics and profile model rows count the fused kernel's
+        """The run report's model row counts the fused kernel's
         blocking, not the numpy micro-kernel's 128 x 128 tile."""
         from repro.core.gemm import (
             DEFAULT_KERNEL, gemm_operation_counts, resolve_blocking,
         )
 
         path, haps = ms_panel
-        metrics, profile = tmp_path / "m.json", tmp_path / "p.json"
+        metrics = tmp_path / "m.json"
         assert main([
             "ld", str(path), "--engine", "serial", "--block-snps", "16",
-            "--out", str(tmp_path / "ld.npy"),
-            "--metrics-out", str(metrics), "--profile-out", str(profile),
+            "--out", str(tmp_path / "ld.npy"), "--metrics-out", str(metrics),
         ]) == 0
         n, k = haps.shape[1], (haps.shape[0] + 63) // 64
         expected = gemm_operation_counts(
             n, n, k, resolve_blocking(None, DEFAULT_KERNEL), symmetric=True,
         ).total_ops
-        for artifact in (metrics, profile):
-            payload = json.loads(artifact.read_text())
-            assert payload["model"]["total_ops"] == expected, artifact.name
+        payload = json.loads(metrics.read_text())
+        assert payload["model"]["total_ops"] == expected
 
     def test_custom_manifest_path(self, ms_panel, tmp_path):
         path, _ = ms_panel
@@ -439,19 +437,19 @@ class TestAnalysisCommands:
 
 
 class TestProfileAndReportCommands:
-    def test_ld_profile_out_writes_schema_tagged_payload(
+    def test_ld_metrics_out_carries_phase_attribution(
         self, ms_panel, tmp_path
     ):
         path, haps = ms_panel
-        profile = tmp_path / "profile.json"
+        metrics = tmp_path / "metrics.json"
         assert main([
             "ld", str(path), "--engine", "serial", "--block-snps", "16",
             "--out", str(tmp_path / "ld.npy"),
-            "--profile-out", str(profile),
+            "--metrics-out", str(metrics),
         ]) == 0
-        payload = json.loads(profile.read_text())
-        assert payload["schema"] == "repro-profile/1"
-        assert payload["workload"]["n_snps"] == haps.shape[1]
+        payload = json.loads(metrics.read_text())
+        assert payload["schema"] == "repro-ld-metrics/1"
+        assert payload["n_snps"] == haps.shape[1]
         # Acceptance bar: kernel and driver phases are both attributed,
         # and every phase row is classified against the model.
         assert {"pack_a", "pack_b", "plane_matmul", "mirror",
@@ -460,36 +458,20 @@ class TestProfileAndReportCommands:
         for name in ("pack_a", "pack_b", "plane_matmul", "mirror"):
             assert roofline[name]["kind"] in ("compute", "memory")
             assert roofline[name]["modeled_seconds"] > 0
-
-    def test_profile_command_simulates_and_profiles(self, tmp_path, capsys):
-        out = tmp_path / "profile.json"
-        assert main([
-            "profile", "--snps", "96", "--samples", "40", "--seed", "3",
-            "--block-snps", "16", "--engine", "threads", "--workers", "2",
-            "--out", str(out),
-        ]) == 0
-        text = capsys.readouterr().out
-        assert "profile:" in text and "engine=threads" in text
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro-profile/1"
-        assert payload["workload"]["stat"] == "r2"
-        assert {"driver.dispatch", "driver.wait"} <= set(payload["phases"])
+        assert payload["phase_coverage"] > 0.9
         assert payload["timeline"]["workers"]
+        assert payload["anomalies"] == []
 
-    def test_profile_command_reads_existing_panel(
-        self, ms_panel, tmp_path, capsys
-    ):
-        path, haps = ms_panel
-        out = tmp_path / "profile.json"
-        matrix = tmp_path / "ld.npy"
-        assert main([
-            "profile", "--input", str(path), "--block-snps", "16",
-            "--engine", "serial", "--matrix-out", str(matrix),
-            "--out", str(out),
-        ]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["workload"]["n_snps"] == haps.shape[1]
-        assert np.load(matrix).shape == (haps.shape[1], haps.shape[1])
+    def test_profile_command_and_flag_are_gone(self, ms_panel, tmp_path):
+        path, _ = ms_panel
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--out", str(tmp_path / "p.json")])
+        assert excinfo.value.code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ld", str(path), "--engine", "serial",
+                  "--out", str(tmp_path / "ld.npy"),
+                  "--profile-out", str(tmp_path / "p.json")])
+        assert excinfo.value.code == 2
 
     def test_report_renders_profile_metrics_and_trace(
         self, ms_panel, tmp_path, capsys
@@ -497,22 +479,18 @@ class TestProfileAndReportCommands:
         path, _ = ms_panel
         metrics = tmp_path / "metrics.json"
         trace = tmp_path / "trace.jsonl"
-        profile = tmp_path / "profile.json"
         assert main([
             "ld", str(path), "--engine", "serial", "--block-snps", "16",
             "--out", str(tmp_path / "ld.npy"),
             "--metrics-out", str(metrics), "--trace-out", str(trace),
-            "--profile-out", str(profile),
         ]) == 0
         capsys.readouterr()
-        assert main([
-            "report", str(profile), str(metrics), str(trace),
-        ]) == 0
+        assert main(["report", str(metrics), str(trace)]) == 0
         text = capsys.readouterr().out
         # Multi-file mode labels each rendering with its source path.
-        assert text.count("==>") == 3
-        assert "repro-profile/1" in text
+        assert text.count("==>") == 2
         assert "repro-ld-metrics/1" in text
+        assert "plane_matmul" in text and "roofline" in text
         assert "repro-trace/1" in text
 
     def test_report_rejects_unreadable_file(self, tmp_path, capsys):
@@ -520,6 +498,91 @@ class TestProfileAndReportCommands:
         bad.write_text("not json\n")
         assert main(["report", str(bad)]) == 1
         assert "bad.txt" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def panel_300(tmp_path_factory):
+    """`repro simulate --samples 300 --snps 2000 --seed 3`."""
+    path = tmp_path_factory.mktemp("panel300") / "panel.ms"
+    assert main(["simulate", "--samples", "300", "--snps", "2000",
+                 "--seed", "3", "--out", str(path)]) == 0
+    return path
+
+
+def _registry_records():
+    from repro.observe.registry import load_runs
+
+    records, _n_torn = load_runs()
+    return records
+
+
+class TestOneRunReport:
+    """The run report, the registry record, the live snapshot and the
+    trace of one run take their verdicts and identity from one place."""
+
+    def test_banded_run_is_unpriced_in_every_view(
+        self, panel_300, tmp_path, capsys
+    ):
+        metrics, live = tmp_path / "m.json", tmp_path / "l.json"
+        assert main([
+            "ld", str(panel_300), "--engine", "serial", "--window", "100",
+            "--out", str(tmp_path / "band.npy"),
+            "--metrics-out", str(metrics), "--live", str(live),
+        ]) == 0
+        payload = json.loads(metrics.read_text())
+        # The model prices the dense triangle, which a band never ran.
+        assert "phases" in payload and "model" not in payload
+        assert _registry_records()[-1]["percent_of_peak"] is None
+        snapshot = json.loads(live.read_text())
+        assert snapshot["phase"] == "done"
+        assert snapshot["percent_of_peak"] is None
+
+    @pytest.mark.parametrize("with_live", [False, True],
+                             ids=["no-live", "live"])
+    def test_registry_anomalies_are_the_reports(
+        self, panel_300, tmp_path, with_live, capsys
+    ):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"specs": [
+            {"site": "tile_compute", "action": "raise", "tile": [512, 0],
+             "attempts_below": 1},
+        ]}))
+        metrics, live = tmp_path / "m.json", tmp_path / "l.json"
+        assert main([
+            "ld", str(panel_300), "--engine", "serial",
+            "--out", str(tmp_path / "ld.npy"), "--fault-plan", str(plan),
+            "--metrics-out", str(metrics),
+            *(["--live", str(live)] if with_live else []),
+        ]) == 0
+        reported = sorted(
+            {a["kind"] for a in json.loads(metrics.read_text())["anomalies"]}
+        )
+        assert "tile_retries" in reported
+        assert _registry_records()[-1]["anomalies"] == reported
+        if with_live:
+            snapshot = json.loads(live.read_text())
+            assert sorted(
+                {a["kind"] for a in snapshot["anomalies"]}
+            ) == reported
+
+    def test_one_run_id_in_every_artifact(self, ms_panel, tmp_path, capsys):
+        path, _ = ms_panel
+        metrics, trace, live = (
+            tmp_path / "m.json", tmp_path / "t.jsonl", tmp_path / "l.json"
+        )
+        assert main([
+            "ld", str(path), "--engine", "serial", "--block-snps", "16",
+            "--out", str(tmp_path / "ld.npy"), "--metrics-out", str(metrics),
+            "--trace-out", str(trace), "--live", str(live),
+        ]) == 0
+        run_id = json.loads(metrics.read_text())["run_id"]
+        assert run_id
+        first = json.loads(trace.read_text().splitlines()[0])
+        assert first["kind"] == "run_start" and first["run_id"] == run_id
+        assert json.loads(live.read_text())["run_id"] == run_id
+        record = _registry_records()[-1]
+        assert record["run_id"] == run_id
+        assert "profile" not in record["artifacts"]
 
 
 class TestLiveCli:

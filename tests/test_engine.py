@@ -52,10 +52,6 @@ class TestEnumerateTiles:
         n_blocks = -(-n // block)
         assert len(enumerate_tiles(n, block)) == n_blocks * (n_blocks + 1) // 2
 
-    def test_exclude_diagonal(self):
-        tiles = enumerate_tiles(50, 8, include_diagonal=False)
-        assert all(t.i0 != t.j0 for t in tiles)
-
     def test_order_matches_streaming_convention(self):
         keys = [t.key for t in enumerate_tiles(20, 8)]
         assert keys == [(0, 0), (8, 0), (8, 8), (16, 0), (16, 8), (16, 16)]

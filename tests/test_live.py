@@ -9,9 +9,9 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core.engine import EngineReport, run_engine
+from repro.core.engine import run_engine
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
-from repro.observe import MetricsRecorder, SpanProfiler
+from repro.observe import MetricsRecorder
 from repro.observe.live import (
     LIVE_SCHEMA,
     LivePublisher,
@@ -22,7 +22,7 @@ from repro.observe.live import (
     serve_prometheus,
     sparkline,
 )
-from repro.observe.report import build_profile_payload
+from repro.observe.report import WorkerTimeline
 
 
 @pytest.fixture
@@ -30,11 +30,15 @@ def panel(rng):
     return rng.integers(0, 2, size=(60, 33)).astype(np.uint8)
 
 
-def attach(path, **kwargs) -> tuple[MetricsRecorder, LivePublisher]:
-    """A publisher attached as a sink of a fresh recorder."""
-    recorder = MetricsRecorder()
-    pub = LivePublisher(path, recorder=recorder, **kwargs)
-    recorder.sinks.append(pub)
+def attach(
+    path, run_id: str | None = None, **kwargs
+) -> tuple[MetricsRecorder, LivePublisher]:
+    """A publisher attached, after its timeline, as a sink of a fresh
+    recorder."""
+    recorder = MetricsRecorder(run_id=run_id)
+    timeline = WorkerTimeline()
+    pub = LivePublisher(path, recorder=recorder, timeline=timeline, **kwargs)
+    recorder.sinks.extend([timeline, pub])
     return recorder, pub
 
 
@@ -122,7 +126,7 @@ class TestLivePublisher:
         with pytest.raises(ValueError, match="interval"):
             LivePublisher(
                 tmp_path / "live.json", recorder=MetricsRecorder(),
-                interval=0.0,
+                timeline=WorkerTimeline(), interval=0.0,
             )
 
     def test_percent_of_peak_needs_shape_and_dense(self, tmp_path):
@@ -149,38 +153,11 @@ class TestLivePublisher:
         pub.publish()
         peak = read_snapshot(pub.path)["percent_of_peak"]
         assert peak is not None and 0.0 <= peak <= 100.0
-
-    def test_packing_verdict_matches_repro_report(self, tmp_path, monkeypatch):
-        # Dataset A's shape. The engine's blocking models packing at
-        # 0.09 % of phase time and MICRO_BLOCKING at 0.13 %, so a 0.2 %
-        # measured share is heavy at the first (ratio > 2) and not at
-        # the second: both views must price the blocking the engine ran.
-        # The report's phase table also holds driver spans; they are not
-        # tile compute and must not dilute the share the live view
-        # judges from phase.* alone.
-        workload = {"n_snps": 10_000, "k_words": 40}
-        recorder, pub = attach(tmp_path / "live.json", config=workload)
-        recorder.observe_time("phase.plane_matmul", 99.8)
-        recorder.observe_time("phase.pack_a", 0.1)
-        recorder.observe_time("phase.pack_b", 0.1)
-        run_start(recorder, 1, 10)
+        # The run report's model rule: a quarantined tile leaves the run
+        # incomplete, and an incomplete run is not priced.
+        rec.inc("engine.tiles_quarantined")
         pub.publish()
-        live = {a["kind"] for a in read_snapshot(pub.path)["anomalies"]}
-        profiler = SpanProfiler()
-        monkeypatch.setattr(
-            profiler, "totals",
-            lambda: {"driver.deliver": {"seconds": 50.0, "count": 10}},
-        )
-        payload = build_profile_payload(
-            recorder=recorder, profiler=profiler,
-            report=EngineReport("serial", 1, 1, 1, 0, 0),
-            wall_seconds=150.0, workload=workload,
-        )
-        assert "driver.deliver" in payload["phases"]
-        reported = {a["kind"] for a in payload["anomalies"]}
-        assert "packing_heavy" in reported
-        assert "packing_heavy" in live
-        recorder.close()
+        assert read_snapshot(pub.path)["percent_of_peak"] is None
 
     def test_io_bound_anomaly_from_recorder(self, tmp_path):
         recorder, pub = attach(tmp_path / "live.json")

@@ -78,7 +78,7 @@ def fault_run_events(tmp_path_factory):
     events: list[dict] = []
 
     def run(**kwargs) -> None:
-        recorder = MetricsRecorder(keep_events=True)
+        recorder = MetricsRecorder(keep_events=True, run_id="catalog-run")
         try:
             run_engine(panel, lambda *a: None, block_snps=8,
                        retry_backoff=0.0, recorder=recorder, **kwargs)
@@ -217,6 +217,7 @@ class TestCatalog:
             "pool_spawn_failed", "executor_degraded",
         } <= kinds
         assert any("band" in e for e in fault_run_events)
+        assert any("run_id" in e for e in fault_run_events)
         assert any("phases" in e for e in fault_run_events)
         for event in fault_run_events:
             kind = event["kind"]

@@ -465,8 +465,16 @@ class TestCrashResume:
 
 class TestPrefetchAttribution:
     def test_spans_and_metrics_attribute_io(self, store_path, tmp_path):
+        prefetch_threads: set[str] = set()
+
+        class _ThreadNoting(SpanProfiler):
+            def span(self, name):
+                if name == "io.prefetch":
+                    prefetch_threads.add(threading.current_thread().name)
+                return super().span(name)
+
         recorder = MetricsRecorder()
-        profiler = SpanProfiler()
+        profiler = _ThreadNoting()
         out = tmp_path / "attr.npy"
         with PanelStore.open(store_path) as store:
             n = store.n_snps
@@ -483,19 +491,19 @@ class TestPrefetchAttribution:
         # The prefetch reads must run on the loader thread — that is the
         # overlap mechanism: disk time on repro-prefetch while the worker
         # threads run gemm spans concurrently.
-        threads = {
-            r.thread for r in profiler.records() if r.name == "io.prefetch"
-        }
-        assert any(t.startswith("repro-prefetch") for t in threads)
+        assert any(t.startswith("repro-prefetch") for t in prefetch_threads)
 
     def test_profile_payload_reports_io_phase(self, store_path, tmp_path):
-        from repro.observe.report import build_profile_payload
+        from repro.observe.report import WorkerTimeline, build_run_report
 
-        recorder = MetricsRecorder(keep_events=True)
+        recorder = MetricsRecorder()
+        timeline = WorkerTimeline()
+        recorder.sinks.append(timeline)
         profiler = SpanProfiler()
         out = tmp_path / "prof.npy"
         with PanelStore.open(store_path) as store:
-            n, k_words = store.n_snps, store.n_words
+            n, n_samples = store.n_snps, store.n_samples
+            k_words = store.n_words
         import time as _time
 
         start = _time.perf_counter()
@@ -507,31 +515,24 @@ class TestPrefetchAttribution:
                 recorder=recorder,
             )
         wall = _time.perf_counter() - start
-        payload = build_profile_payload(
-            recorder=recorder, profiler=profiler, report=report,
-            wall_seconds=wall,
-            workload={"n_snps": n, "k_words": k_words},
+        payload = build_run_report(
+            recorder=recorder, profiler=profiler, timeline=timeline,
+            report=report, wall_seconds=wall, stat="r2", n_snps=n,
+            n_samples=n_samples, k_words=k_words,
+            block_snps=BLOCK,
         )
         assert any(name.startswith("io.") for name in payload["phases"])
 
     def test_io_bound_anomaly_fires_on_heavy_stall(self):
-        from repro.observe.report import _find_anomalies
+        from repro.observe.report import WorkerTimeline, find_anomalies
 
-        class _Report:
-            n_retries = 0
-            n_quarantined = 0
-            degraded = False
+        def kinds(stall_seconds: float) -> set[str]:
+            recorder = MetricsRecorder()
+            recorder.observe_time("prefetch.stall_seconds", stall_seconds)
+            return {
+                a["kind"]
+                for a in find_anomalies(recorder, WorkerTimeline(), 1.0)
+            }
 
-        class _Profiler:
-            n_dropped = 0
-
-        anomalies = _find_anomalies(
-            {"workers": []}, {}, _Report(), _Profiler(),
-            stall_seconds=0.5, wall_seconds=1.0,
-        )
-        assert any(a["kind"] == "io_bound" for a in anomalies)
-        quiet = _find_anomalies(
-            {"workers": []}, {}, _Report(), _Profiler(),
-            stall_seconds=0.001, wall_seconds=1.0,
-        )
-        assert not any(a["kind"] == "io_bound" for a in quiet)
+        assert "io_bound" in kinds(0.5)
+        assert "io_bound" not in kinds(0.001)

@@ -1,8 +1,8 @@
-"""Tests for the attribution engine and renderers (repro.observe.report).
+"""Tests for the run report and renderers (repro.observe.report).
 
-build_profile_payload is exercised both against a real engine run (phase
-presence, coverage, roofline join, JSON round-trip) and against synthetic
-recorder/profiler/report inputs that trigger each anomaly rule; the
+build_run_report is exercised both against a real engine run (phase
+presence, coverage, roofline join, JSON round-trip) and against
+synthetic recorder/timeline inputs that trigger each anomaly rule; the
 renderers are checked over every schema repro report claims to handle.
 """
 
@@ -18,7 +18,9 @@ from repro.core.streaming import NpyMemmapSink
 from repro.observe import MetricsRecorder, SpanProfiler, profiling
 from repro.observe.modelcheck import compare_phases_to_model
 from repro.observe.report import (
-    build_profile_payload,
+    WorkerTimeline,
+    build_run_report,
+    find_anomalies,
     load_report_payload,
     render_file,
     render_report,
@@ -31,7 +33,9 @@ def panel(rng):
 
 
 def _profiled_run(panel, tmp_path, **kwargs):
-    recorder = MetricsRecorder(keep_events=True)
+    recorder = MetricsRecorder(run_id="test-run")
+    timeline = WorkerTimeline()
+    recorder.sinks.append(timeline)
     profiler = SpanProfiler()
     with NpyMemmapSink(tmp_path / "ld.npy", panel.shape[1]) as sink, \
             profiling(profiler):
@@ -40,24 +44,23 @@ def _profiled_run(panel, tmp_path, **kwargs):
             manifest_path=tmp_path / "ld.manifest",
             recorder=recorder, **kwargs,
         )
-    workload = {
-        "stat": "r2",
-        "n_snps": panel.shape[1],
-        "n_samples": panel.shape[0],
-        "k_words": (panel.shape[0] + 63) // 64,
-        "block_snps": 8,
-    }
-    return build_profile_payload(
-        recorder=recorder, profiler=profiler, report=report,
+    return build_run_report(
+        recorder=recorder, profiler=profiler, timeline=timeline,
+        report=report,
         wall_seconds=recorder.timers["engine.run_seconds"].total,
-        workload=workload,
+        stat="r2", n_snps=panel.shape[1], n_samples=panel.shape[0],
+        k_words=(panel.shape[0] + 63) // 64, block_snps=8,
     )
 
 
 class TestBuildProfilePayload:
+    """The profile sections of the run report (phase table, coverage,
+    roofline, worker timeline), built by build_run_report."""
+
     def test_real_run_produces_complete_payload(self, panel, tmp_path):
         payload = _profiled_run(panel, tmp_path, engine="serial")
-        assert payload["schema"] == "repro-profile/1"
+        assert payload["schema"] == "repro-ld-metrics/1"
+        assert payload["run_id"] == "test-run"
         phases = payload["phases"]
         assert {"pack_a", "pack_b", "plane_matmul", "mirror", "stat",
                 "driver.deliver", "driver.manifest_append"} <= set(phases)
@@ -66,13 +69,15 @@ class TestBuildProfilePayload:
             pytest.approx(1.0)
         )
         # Spans attribute (nearly) all of the measured tile compute time.
-        assert payload["tiles"]["phase_coverage"] > 0.9
+        assert payload["phase_coverage"] > 0.9
         # Every phase got a roofline row with a classification.
         roofline_names = {row["name"] for row in payload["roofline"]}
         assert set(phases) <= roofline_names
         assert all(row["kind"] in ("compute", "memory", "overhead")
                    for row in payload["roofline"])
         assert "model" in payload  # complete un-resumed run
+        # The recorder summary rides along in the same artifact.
+        assert payload["counters"]["engine.tiles_computed"] == 10
         json.dumps(payload)  # must be serializable as-is
 
     def test_threads_run_has_dispatch_phases_and_timeline(
@@ -89,125 +94,107 @@ class TestBuildProfilePayload:
         assert timeline["imbalance"] >= 1.0
 
     def test_validation(self, panel, tmp_path):
-        recorder = MetricsRecorder()
-        profiler = SpanProfiler()
         report = EngineReport("serial", 1, 1, 1, 0, 0)
+        shape = dict(stat="r2", n_snps=4, n_samples=8, k_words=1,
+                     block_snps=4)
+        recorder = MetricsRecorder()
+        recorder.observe_time("engine.run_seconds", 1.0)
         with pytest.raises(ValueError, match="wall_seconds"):
-            build_profile_payload(
-                recorder=recorder, profiler=profiler, report=report,
-                wall_seconds=0.0, workload={"n_snps": 4, "k_words": 1},
+            build_run_report(
+                recorder=recorder, profiler=SpanProfiler(),
+                timeline=WorkerTimeline(), report=report,
+                wall_seconds=0.0, **shape,
             )
-        with pytest.raises(ValueError, match="k_words"):
-            build_profile_payload(
-                recorder=recorder, profiler=profiler, report=report,
-                wall_seconds=1.0, workload={"n_snps": 4},
+        with pytest.raises(ValueError, match="engine.run_seconds"):
+            build_run_report(
+                recorder=MetricsRecorder(), profiler=SpanProfiler(),
+                timeline=WorkerTimeline(), report=report,
+                wall_seconds=1.0, **shape,
             )
+
+
+def _tile(worker: str, ts: float, compute_s: float) -> dict:
+    return {"kind": "tile_computed", "ts": ts, "compute_s": compute_s,
+            "worker": worker}
 
 
 class TestAnomalies:
-    def _payload(self, *, recorder=None, profiler=None, report=None,
-                 wall=1.0, workload=None):
-        return build_profile_payload(
-            recorder=recorder or MetricsRecorder(keep_events=True),
-            profiler=profiler or SpanProfiler(),
-            report=report or EngineReport("threads", 2, 4, 4, 0, 0),
-            wall_seconds=wall,
-            workload=workload or {"n_snps": 64, "k_words": 1},
-        )
-
-    def _kinds(self, payload):
-        return {a["kind"] for a in payload["anomalies"]}
+    def _kinds(self, recorder=None, timeline=None, seconds=1.0):
+        return {
+            a["kind"] for a in find_anomalies(
+                recorder or MetricsRecorder(), timeline or WorkerTimeline(),
+                seconds,
+            )
+        }
 
     def test_clean_synthetic_run_has_no_anomalies(self):
-        assert self._kinds(self._payload()) == set()
+        assert self._kinds() == set()
 
     def test_idle_worker_flagged_above_threshold(self):
-        recorder = MetricsRecorder(keep_events=True)
-        recorder.events.append({"kind": "tile_computed", "ts": 0.95,
-                                "compute_s": 0.9, "worker": "w0"})
-        recorder.events.append({"kind": "tile_computed", "ts": 0.2,
-                                "compute_s": 0.1, "worker": "w1"})
-        payload = self._payload(recorder=recorder, wall=1.0)
-        kinds = self._kinds(payload)
-        assert "worker_idle" in kinds
-        idle = [a for a in payload["anomalies"] if a["kind"] == "worker_idle"]
+        timeline = WorkerTimeline()
+        timeline.write(_tile("w0", 0.95, 0.9))
+        timeline.write(_tile("w1", 0.2, 0.1))
+        anomalies = find_anomalies(MetricsRecorder(), timeline, 1.0)
+        idle = [a for a in anomalies if a["kind"] == "worker_idle"]
         assert len(idle) == 1 and "w1" in idle[0]["detail"]
 
     def test_single_worker_idle_is_not_flagged(self):
         # A serial run's one "worker" is idle whenever the driver works;
         # that is not imbalance.
-        recorder = MetricsRecorder(keep_events=True)
-        recorder.events.append({"kind": "tile_computed", "ts": 0.5,
-                                "compute_s": 0.3, "worker": "driver"})
-        assert "worker_idle" not in self._kinds(
-            self._payload(recorder=recorder, wall=1.0)
-        )
+        timeline = WorkerTimeline()
+        timeline.write(_tile("driver", 0.5, 0.3))
+        assert "worker_idle" not in self._kinds(timeline=timeline)
 
     def test_low_span_coverage_flagged(self):
-        recorder = MetricsRecorder(keep_events=True)
+        recorder = MetricsRecorder()
         recorder.observe_time("engine.tile_compute_seconds", 1.0)
         recorder.observe_time("phase.plane_matmul", 0.5)
-        payload = self._payload(recorder=recorder, wall=2.0)
-        assert "span_coverage_low" in self._kinds(payload)
-        assert payload["tiles"]["phase_coverage"] == pytest.approx(0.5)
-
-    def test_packing_heavier_than_model_flagged(self):
-        recorder = MetricsRecorder(keep_events=True)
-        # Packing dominates a breakdown where the model expects matmul to.
-        recorder.observe_time("engine.tile_compute_seconds", 1.0)
-        recorder.observe_time("phase.pack_a", 0.5)
-        recorder.observe_time("phase.pack_b", 0.4)
-        recorder.observe_time("phase.plane_matmul", 0.1)
-        assert "packing_heavy" in self._kinds(
-            self._payload(recorder=recorder)
-        )
+        # The pool worker's wait between batches is not tile compute.
+        recorder.observe_time("phase.worker.idle", 0.5)
+        assert "span_coverage_low" in self._kinds(recorder, seconds=2.0)
+        # Without any phase timers (profiling off) there is nothing to
+        # attribute, which is not an attribution gap.
+        unprofiled = MetricsRecorder()
+        unprofiled.observe_time("engine.tile_compute_seconds", 1.0)
+        assert "span_coverage_low" not in self._kinds(unprofiled)
 
     def test_fault_path_outcomes_flagged(self):
-        report = EngineReport(
-            "processes", 2, 4, 3, 0, 5,
-            engine_used="threads", n_quarantined=1,
-            quarantined=((8, 0),),
-        )
-        kinds = self._kinds(self._payload(report=report))
+        recorder = MetricsRecorder()
+        recorder.inc("engine.retries", 5)
+        recorder.inc("engine.tiles_quarantined")
+        recorder.inc("engine.degradations")
         assert {"tile_retries", "tiles_quarantined",
-                "executor_degraded"} <= kinds
+                "executor_degraded"} <= self._kinds(recorder)
 
     def test_band_covering_whole_triangle_flagged(self):
-        # W >= n prunes nothing: the banded run does dense work plus
-        # masking overhead, which the operator should know about.
-        payload = self._payload(workload={
-            "n_snps": 64, "k_words": 1, "band": {"window": 64},
-        })
-        kinds = self._kinds(payload)
-        assert "band_wasteful" in kinds
-        wasteful = [a for a in payload["anomalies"]
-                    if a["kind"] == "band_wasteful"]
+        # A band that prunes nothing: the banded run does dense work
+        # plus masking overhead, which the operator should know about.
+        recorder = MetricsRecorder()
+        recorder.inc("engine.tiles_pruned", 0)
+        anomalies = find_anomalies(recorder, WorkerTimeline(), 1.0)
+        wasteful = [a for a in anomalies if a["kind"] == "band_wasteful"]
+        assert wasteful
         assert "no tiles can be pruned" in wasteful[0]["detail"]
 
     def test_narrow_band_is_not_flagged(self):
-        for band in ({"window": 16}, {"window_kb": 2.5, "index_width": 16}):
-            payload = self._payload(workload={
-                "n_snps": 64, "k_words": 1, "band": band,
-            })
-            assert "band_wasteful" not in self._kinds(payload)
-
-    def test_dropped_spans_flagged(self):
-        profiler = SpanProfiler(capacity=1)
-        for _ in range(3):
-            with profiler.span("x"):
-                pass
-        payload = self._payload(profiler=profiler)
-        assert "spans_dropped" in self._kinds(payload)
-        assert payload["spans_dropped"] == 2
+        recorder = MetricsRecorder()
+        recorder.inc("engine.tiles_pruned", 12)
+        assert "band_wasteful" not in self._kinds(recorder)
+        # Dense runs never count pruned tiles.
+        assert "band_wasteful" not in self._kinds()
 
 
 class TestRenderReport:
     def test_renders_profile_payload(self, panel, tmp_path):
         payload = _profiled_run(panel, tmp_path, engine="serial")
         text = render_report(payload)
-        assert "repro-profile/1" in text
+        assert "repro-ld-metrics/1" in text and "run test-run" in text
         assert "plane_matmul" in text and "roofline" in text
+        assert "workers:" in text and "model:" in text
         assert "anomalies" in text
+        # A retired repro-profile/1 file is an unknown schema.
+        with pytest.raises(ValueError, match="unknown schema"):
+            render_report({**payload, "schema": "repro-profile/1"})
 
     def test_renders_metrics_payload(self, tmp_path):
         recorder = MetricsRecorder()

@@ -37,16 +37,6 @@ class TestStreamLdBlocks:
         n_blocks = -(-n // block_snps)
         assert delivered == n_blocks * (n_blocks + 1) // 2
 
-    def test_skip_diagonal_blocks(self, panel):
-        seen = []
-        stream_ld_blocks(
-            panel,
-            lambda i0, j0, b: seen.append((i0, j0)),
-            block_snps=10,
-            include_diagonal_blocks=False,
-        )
-        assert all(i0 != j0 for i0, j0 in seen)
-
     def test_validation(self, panel):
         with pytest.raises(ValueError, match="unknown LD statistic"):
             stream_ld_blocks(panel, lambda *a: None, stat="Dprime")
