@@ -149,10 +149,11 @@ class TestLdEngineOption:
         self, ms_panel, tmp_path, engine, capsys
     ):
         path, haps = ms_panel
-        out = tmp_path / "ld.npy"
+        out, metrics = tmp_path / "ld.npy", tmp_path / "m.json"
         assert main([
             "ld", str(path), "--engine", engine, "--workers", "2",
             "--block-snps", "16", "--out", str(out),
+            "--metrics-out", str(metrics),
         ]) == 0
         from repro.core.ldmatrix import ld_matrix
 
@@ -161,6 +162,16 @@ class TestLdEngineOption:
         # "processes" is the older spelling of the warm pool.
         resolved = ENGINE_ALIASES.get(engine, engine)
         assert f"engine={resolved}" in capsys.readouterr().out
+        # Every engine's run report carries the attribution sections.
+        payload = json.loads(metrics.read_text())
+        assert payload["schema"] == "repro-ld-metrics/1" and payload["run_id"]
+        assert "plane_matmul" in payload["phases"] and payload["roofline"]
+        assert sum(
+            row["n_tiles"] for row in payload["timeline"]["workers"]
+        ) == payload["n_computed"] == 10
+        assert "model" in payload and isinstance(payload["anomalies"], list)
+        assert main(["report", str(metrics)]) == 0
+        assert "roofline" in capsys.readouterr().out
 
     def test_resume_skips_journaled_tiles(self, ms_panel, tmp_path, capsys):
         path, haps = ms_panel
