@@ -274,7 +274,6 @@ def _cmd_ld_engine(
                 engine=args.engine,
                 n_workers=args.workers,
                 memory_budget=memory_budget,
-                batch_tiles=args.batch_tiles,
                 band=band,
                 resume=args.resume,
                 manifest_path=manifest,
@@ -481,11 +480,10 @@ def _cmd_ld(args: argparse.Namespace) -> int:
             "tiled engine; add --engine serial|threads|persistent"
         )
     if (args.fault_plan or args.tile_timeout is not None
-            or args.max_retries is not None or args.allow_quarantine
-            or args.batch_tiles is not None):
+            or args.max_retries is not None or args.allow_quarantine):
         raise SystemExit(
-            "--fault-plan/--tile-timeout/--max-retries/--allow-quarantine/"
-            "--batch-tiles configure the tiled engine; add --engine "
+            "--fault-plan/--tile-timeout/--max-retries/--allow-quarantine "
+            "configure the tiled engine; add --engine "
             "serial|threads|persistent"
         )
     if args.window:
@@ -822,9 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="publish a repro-live/1 status snapshot here on a "
                         "throttled cadence for `repro top`/`repro export` "
                         "(--engine only; also honoured via $REPRO_LIVE)")
-    p.add_argument("--batch-tiles", type=int, default=None, metavar="N",
-                   help="tiles dispatched per worker submission "
-                        "(--engine threads/persistent; default: auto)")
     p.set_defaults(func=_cmd_ld)
 
     p = sub.add_parser("scan", help="omega-statistic sweep scan")

@@ -541,6 +541,8 @@ class EngineReport:
     engine_used: str = ""
     n_quarantined: int = 0
     quarantined: tuple[tuple[int, int], ...] = ()
+    #: Tiles dispatched to a worker pool, resubmissions included; the
+    #: serial engine computes inline and dispatches none.
     n_batches: int = 0
     n_pool_spawns: int = 0
     n_worker_respawns: int = 0
@@ -575,7 +577,6 @@ def run_engine(
     engine: str = "serial",
     n_workers: int | None = None,
     memory_budget: int | None = None,
-    batch_tiles: int | None = None,
     params: BlockingParams | None = None,
     kernel: str = DEFAULT_KERNEL,
     undefined: float = np.nan,
@@ -630,13 +631,6 @@ def run_engine(
         executor that finished is reported as ``engine_used``.
     n_workers:
         Worker count for ``threads``/``persistent`` (default: CPU count).
-    batch_tiles:
-        Tiles dispatched per pool unit under ``threads``/``persistent``
-        (amortizes submission and result overhead; failures within a
-        batch are isolated per tile). ``None`` (default) picks a size
-        from the tile count and worker count, and a ``tile_timeout``
-        forces batches of 1 so the watchdog budget stays per-tile. The
-        serial engine ignores it.
     band:
         Optional distance band: an ``int`` window (pairs with
         ``i - j <= band`` SNPs) or a :class:`repro.core.banding.BandSpec`
@@ -722,8 +716,6 @@ def run_engine(
         raise ValueError(f"tile_timeout must be positive, got {tile_timeout}")
     if retry_backoff < 0:
         raise ValueError(f"retry_backoff must be non-negative, got {retry_backoff}")
-    if batch_tiles is not None and batch_tiles < 1:
-        raise ValueError(f"batch_tiles must be positive, got {batch_tiles}")
     if resume and manifest_path is None:
         raise ValueError("resume=True requires a manifest_path")
     band_spec: BandSpec | None
@@ -970,9 +962,7 @@ def run_engine(
             recorder=recorder,
         )
 
-        def local_task(
-            tile: TileTask, epoch: int, out: np.ndarray | None
-        ) -> TileResult:
+        def local_task(tile: TileTask, epoch: int) -> TileResult:
             # Budgeted out-of-core runs compute against the prefetcher's
             # resident windows (acquire blocks — and records io.wait —
             # only when the loader has not stayed ahead); everything
@@ -983,39 +973,19 @@ def run_engine(
             source = words if prefetcher is None else prefetcher.acquire(tile)
             try:
                 return _ex.run_tile(
-                    config, source, freqs, matrix.n_samples, tile, epoch,
-                    out=out,
+                    config, source, freqs, matrix.n_samples, tile, epoch
                 )
             finally:
                 if prefetcher is not None:
                     prefetcher.release(tile)
 
-        def resolve_batch_size(
-            n_tiles: int, workers: int, current: str
-        ) -> int:
-            # A timeout is a per-tile budget: batching would let one slow
-            # tile spend its batch-mates' allowance.
-            if tile_timeout is not None:
-                return 1
-            if batch_tiles is not None:
-                return batch_tiles
-            if current == "persistent":
-                # Warm dispatch is latency-bound (one pipe round trip
-                # per unit): cover small runs in one unit per worker;
-                # the 8-tile cap still splits large runs into many
-                # units, where the LPT schedule balances load and the
-                # per-worker outstanding window pipelines the trips.
-                return max(1, min(8, -(-n_tiles // workers)))
-            return max(1, min(8, n_tiles // (4 * workers)))
-
         def make_backend(
             current: str, work: list[TileTask]
-        ) -> tuple["_ex.ExecutorBackend", list[TileTask], int]:
-            """Backend + schedule + batch size for one dispatch round."""
+        ) -> tuple["_ex.ExecutorBackend", list[TileTask]]:
+            """Backend + schedule for one dispatch round."""
             if current == "serial":
-                return _ex.SerialBackend(local_task), list(work), 1
+                return _ex.SerialBackend(local_task), list(work)
             workers = min(n_workers, len(work))
-            bsize = resolve_batch_size(len(work), workers, current)
             # Out-of-core sweeps keep the panel-major order (window
             # locality beats LPT balance when windows cost disk reads);
             # in-core runs schedule largest-first as before.
@@ -1023,14 +993,13 @@ def run_engine(
                 list(work) if store is not None else _ex._largest_first(work)
             )
             if current == "threads":
-                return _ex.ThreadsBackend(local_task, workers, ctx), schedule, bsize
+                return _ex.ThreadsBackend(local_task, workers, ctx), schedule
             backend = _ex.PersistentBackend(
                 words=words,
                 freqs=freqs,
                 n_samples=matrix.n_samples,
                 config=config,
                 n_workers=workers,
-                batch_size=bsize,
                 max_tile_elems=max(t.n_pairs for t in work),
                 ctx=ctx,
                 # Store-backed runs hand workers the store *path*: each
@@ -1038,7 +1007,7 @@ def run_engine(
                 # shared-memory copy is ever made.
                 panel_path=str(store.path) if store is not None else None,
             )
-            return backend, schedule, bsize
+            return backend, schedule
 
         def start_prefetch(current: str, work: list[TileTask]) -> None:
             """Stand up the round's prefetcher (budgeted store runs only)."""
@@ -1078,20 +1047,18 @@ def run_engine(
                 warm_reader = None
 
         retries = 0
-        batches = 0
+        dispatched = 0
         pool_spawns = 0
         worker_respawns = 0
         current = engine
         work = todo
         while work:
             try:
-                backend, schedule, bsize = make_backend(current, work)
+                backend, schedule = make_backend(current, work)
                 start_prefetch(current, schedule)
                 try:
-                    retries += _ex.drive(
-                        backend, schedule, ctx, batch_size=bsize
-                    )
-                    batches += getattr(backend, "batches_this_run", 0)
+                    retries += _ex.drive(backend, schedule, ctx)
+                    dispatched += getattr(backend, "dispatched_this_run", 0)
                 finally:
                     stop_prefetch()
                     pool_spawns += getattr(backend, "spawns_this_run", 0)
@@ -1126,15 +1093,15 @@ def run_engine(
     if recorder is not None:
         run_seconds = time.perf_counter() - run_start
         recorder.observe_time("engine.run_seconds", run_seconds)
-        if batches:
-            recorder.inc("engine.batches_dispatched", batches)
+        if dispatched:
+            recorder.inc("engine.batches_dispatched", dispatched)
         recorder.event(
             "run_end",
             n_computed=n_computed,
             n_skipped=n_skipped,
             n_retries=retries,
             n_quarantined=len(quarantined),
-            n_batches=batches,
+            n_batches=dispatched,
             seconds=run_seconds,
         )
     return EngineReport(
@@ -1147,7 +1114,7 @@ def run_engine(
         engine_used=current,
         n_quarantined=len(quarantined),
         quarantined=tuple(sorted(t.key for t, _ in quarantined)),
-        n_batches=batches,
+        n_batches=dispatched,
         n_pool_spawns=pool_spawns,
         n_worker_respawns=worker_respawns,
         n_pruned=n_pruned,

@@ -1,30 +1,30 @@
 """Pluggable executor backends for the tiled LD engine.
 
-:func:`repro.core.engine.run_engine` schedules tiles; *how* a batch of
-tiles turns into computed blocks is this module's job. One runner,
+:func:`repro.core.engine.run_engine` schedules tiles; *how* a tile
+turns into a computed block is this module's job. One runner,
 :func:`run_tile` (fault sites, ``tile`` span, ``compute_tile``, CRC32),
-and one loop over a unit's tiles, :func:`run_unit`, run on the run's
-:class:`TileConfig` in the serial loop, thread workers and pool workers
-alike. Every execution strategy implements the small
-:class:`ExecutorBackend` protocol — ``start`` / ``submit_batch`` /
-``drain`` / ``close`` plus three per-unit hooks — and the one generic
-:func:`drive` loop supplies retry, backoff, quarantine, CRC
-verification and the watchdog on top. Adding an executor means writing
+runs on the run's :class:`TileConfig` in the serial loop, thread
+workers and pool workers alike. The tile is the only thing an executor
+dispatches: every execution strategy implements the small
+:class:`ExecutorBackend` protocol — ``start`` / ``submit`` / ``drain``
+/ ``close`` plus two per-tile hooks — and the one generic :func:`drive`
+loop supplies retry, backoff, quarantine, CRC verification and the
+watchdog on top. Adding an executor means writing
 a backend, not re-deriving the fault discipline.
 
 Three backends ship:
 
 - :class:`SerialBackend` — in-process loop; compute happens inside
-  ``submit_batch`` so delivery stays interleaved with computation (a
-  crash mid-run journals exactly the tiles delivered so far). A tile
-  that ran past ``tile_timeout`` inline is found overdue by the
-  watchdog like any other unit and charged a timeout.
+  ``submit`` so delivery stays interleaved with computation (a crash
+  mid-run journals exactly the tiles delivered so far). A tile that
+  ran past ``tile_timeout`` inline is found overdue by the watchdog
+  like any other and charged a timeout.
 - :class:`ThreadsBackend` — a per-run ``ThreadPoolExecutor`` of
   GIL-released numpy workers.
 - :class:`PersistentBackend` — the process pool. Workers are spawned
   *once*, attach the packed panel (``multiprocessing.shared_memory``,
   or the panel store by path) and a CRC-verified :class:`_ResultArena`
-  a single time, then pull batches from per-worker ``multiprocessing``
+  a single time, then pull tiles from per-worker ``multiprocessing``
   pipes (raw connections — no queue feeder threads, so warm dispatch
   latency is a single pipe round trip) and survive across
   ``run_engine`` calls. Pools live in a module-level registry keyed by
@@ -34,8 +34,8 @@ Three backends ship:
   after ``SIGKILL``), and the multiprocessing resource tracker then
   unlinks the segments, so nothing is left to stop by hand. A worker
   that dies (``SIGKILL``, fault injection, a watchdog timeout) is
-  respawned alone — its batch is charged a retry — instead of
-  rebuilding the whole pool, so the warm panel mapping is never paid
+  respawned alone — the tiles it held are charged a retry — instead
+  of rebuilding the whole pool, so the warm panel mapping is never paid
   for twice.
 
 The division of labour with the engine: ``engine.py`` owns tile
@@ -86,8 +86,6 @@ if TYPE_CHECKING:
     from repro.observe.metrics import MetricsRecorder
 
 __all__ = [
-    "BatchDone",
-    "BatchHandle",
     "ExecutorBackend",
     "ExecutorBroken",
     "PersistentBackend",
@@ -96,13 +94,14 @@ __all__ = [
     "SerialBackend",
     "ThreadsBackend",
     "TileConfig",
+    "TileDone",
+    "TileHandle",
     "WorkerCrashError",
     "drive",
     "panel_fingerprint",
     "panel_store_key",
     "reap_idle_pools",
     "run_tile",
-    "run_unit",
     "stop_pools",
 ]
 
@@ -124,11 +123,11 @@ class ExecutorBroken(Exception):
 
 
 class WorkerCrashError(RuntimeError):
-    """A persistent worker died mid-batch; its tiles are charged a retry."""
+    """A persistent worker died mid-tile; the tiles it held are charged a retry."""
 
 
 # ---------------------------------------------------------------------------
-# The tile runner: one tile, and one unit of tiles, on every executor.
+# The tile runner: one tile, on every executor.
 # ---------------------------------------------------------------------------
 
 
@@ -217,63 +216,8 @@ def run_tile(
     )
 
 
-@dataclass(frozen=True)
-class _TileOutcome:
-    """One tile's result within a dispatch unit.
-
-    Exactly one of ``result``/``error`` is set. Units report per-tile
-    failures in-band (the original exception instance, pickled across a
-    worker's pipe) rather than failing the whole unit, so batch-mates
-    still land. When the block travelled through the shared-memory
-    arena, ``result.block`` is ``None`` and ``offset`` locates the
-    payload inside the unit's slot.
-    """
-
-    index: int
-    result: TileResult | None
-    error: BaseException | None
-    offset: int = 0
-
-
-#: What :func:`run_unit` calls per tile: ``task(tile, epoch, out)``.
-TileTaskFn = Callable[[TileTask, int, "np.ndarray | None"], TileResult]
-
-
-def run_unit(
-    task: TileTaskFn,
-    unit: tuple[TileTask, ...],
-    epochs: tuple[int, ...],
-    arena: np.ndarray | None = None,
-) -> tuple[_TileOutcome, ...]:
-    """Per-tile outcomes of one dispatch unit — the loop every backend runs.
-
-    Each tile is computed by ``task(tile, epoch, out)``. With an *arena*
-    (a pool worker's view of its unit's slot) blocks are staged back to
-    back into it and each outcome carries its offset instead of the
-    block. A tile that raises is reported in-band, so the driver charges
-    the attempt to that tile alone and resubmits it as a singleton.
-    Kill faults still take a pool worker down — the crash path, where
-    the driver respawns it and charges the whole unit.
-    """
-    items: list[_TileOutcome] = []
-    offset = 0
-    for index, (tile, epoch) in enumerate(zip(unit, epochs)):
-        out = None
-        if arena is not None:
-            out = arena[offset : offset + tile.n_pairs].reshape(
-                tile.i1 - tile.i0, tile.j1 - tile.j0
-            )
-        try:
-            result = task(tile, epoch, out)
-        except Exception as error:  # noqa: BLE001 - reported in-band
-            items.append(_TileOutcome(index, None, error))
-        else:
-            if out is not None:
-                # The payload stays in the arena; only its place travels.
-                result = replace(result, block=None)
-            items.append(_TileOutcome(index, result, None, offset))
-        offset += tile.n_pairs
-    return tuple(items)
+#: What the in-process backends call per tile: ``task(tile, epoch)``.
+TileTaskFn = Callable[[TileTask, int], TileResult]
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +241,25 @@ def _close_and_unlink(shm: shared_memory.SharedMemory) -> None:
             pass
 
 
+def _slot_view(
+    flat: np.ndarray, slot_elems: int, slot: int, tile: TileTask
+) -> np.ndarray:
+    """*tile*'s block at the start of arena *slot*, shaped (no copy)."""
+    base = slot * slot_elems
+    return flat[base : base + tile.n_pairs].reshape(
+        tile.i1 - tile.i0, tile.j1 - tile.j0
+    )
+
+
 class _ResultArena:
     """Driver-owned shared-memory staging for pool-worker result blocks.
 
-    One slot per in-flight batch: workers write each tile's statistic
-    block into their batch's slot (float64, tiles packed back to back)
-    and send back only offsets + CRC32s, so result payloads never travel
-    through pickle. Slots are recycled as batches complete; the driver
-    reads a slot *before* releasing it, and verification (the same CRC32
-    handshake as before) happens on the driver's view of the bytes.
+    One slot per in-flight tile, sized for the run's largest tile:
+    workers write each tile's statistic block (float64) into its slot
+    and send back only the CRC32, so result payloads never travel
+    through pickle. Slots are recycled as tiles complete; the driver
+    reads a slot *before* releasing it, and verification happens on the
+    driver's view of the bytes.
     """
 
     def __init__(self, n_slots: int, slot_elems: int) -> None:
@@ -342,11 +296,9 @@ class _ResultArena:
         """Return *slot* to the free pool."""
         self._free.append(slot)
 
-    def read(self, slot: int, offset: int, shape: tuple[int, int]) -> np.ndarray:
-        """The driver's view of one tile block inside *slot* (no copy)."""
-        base = slot * self.slot_elems + offset
-        count = int(shape[0]) * int(shape[1])
-        return self._flat[base : base + count].reshape(shape)
+    def view(self, slot: int, tile: TileTask) -> np.ndarray:
+        """The driver's view of *tile*'s block inside *slot* (no copy)."""
+        return _slot_view(self._flat, self.slot_elems, slot, tile)
 
     def close(self) -> None:
         """Release and unlink the segment (never skips the unlink)."""
@@ -414,21 +366,24 @@ def _persistent_worker_main(
     owner_pid: int,
     panel_path: str | None = None,
 ) -> None:
-    """Main loop of one warm worker: attach once, then serve batches
+    """Main loop of one warm worker: attach once, then serve tiles
     until the owner stops the pool or dies.
 
     The panel and arena segments are mapped exactly once, at startup —
     the whole point of the persistent pool. Messages arrive on a raw
-    pipe connection (no queue feeder thread, so a warm batch costs one
+    pipe connection (no queue feeder thread, so a warm tile costs one
     pipe round trip). The run's :class:`TileConfig` is piggybacked on
-    the *first* batch each run sends this worker — installed before
+    the *first* tile each run sends this worker — installed before
     computing, so one warm pool serves successive ``run_engine`` calls
     with different parameters against the same panel without any extra
-    message. Each batch goes through :func:`run_unit` and
-    :func:`run_tile`, the same runner the in-process backends use, with
-    the batch's arena slot as the output buffer. Idle time between
-    messages is measured and shipped back for the ``worker.idle`` phase.
-    A ``None`` message (or a closed pipe) shuts the worker down cleanly.
+    message. Each tile goes through :func:`run_tile`, the same runner
+    the in-process backends use, with its arena slot as the output
+    buffer; the reply carries the result without its block, or the
+    exception the tile raised (pickled in-band, so the worker lives on
+    and the driver charges the attempt to that tile alone). Idle time
+    between messages is measured and shipped back for the
+    ``worker.idle`` phase. A ``None`` message (or a closed pipe) shuts
+    the worker down cleanly.
 
     A killed owner sends nothing and its pipe never reports EOF (forked
     workers hold copies of the send ends), so an idle worker also wakes
@@ -444,13 +399,6 @@ def _persistent_worker_main(
         buffer=arena_shm.buf,
     )
     config: TileConfig | None = None
-
-    def task(tile: TileTask, epoch: int, out: np.ndarray | None) -> TileResult:
-        return run_tile(
-            config, words, freqs, n_samples, tile, epoch,
-            out=out, can_kill=True,
-        )
-
     try:
         while True:
             idle_start = time.perf_counter()
@@ -464,16 +412,24 @@ def _persistent_worker_main(
             idle_seconds = time.perf_counter() - idle_start
             if message is None:
                 break
-            batch_id, unit, epochs, slot, new_config = message
+            tile_id, tile, epoch, slot, new_config = message
             if new_config is not None:
                 config = new_config
                 _set_worker_profile(config.profile)
-            base = slot * arena_slot_elems
-            outcome = run_unit(
-                task, unit, epochs, arena[base : base + arena_slot_elems]
-            )
             try:
-                result_conn.send((batch_id, worker_index, outcome, idle_seconds))
+                result = run_tile(
+                    config, words, freqs, n_samples, tile, epoch,
+                    out=_slot_view(arena, arena_slot_elems, slot, tile),
+                    can_kill=True,
+                )
+            except Exception as error:  # noqa: BLE001 - reported in-band
+                reply = (tile_id, worker_index, None, error, idle_seconds)
+            else:
+                # The payload stays in the arena; only its checksum travels.
+                result = replace(result, block=None)
+                reply = (tile_id, worker_index, result, None, idle_seconds)
+            try:
+                result_conn.send(reply)
             except (BrokenPipeError, OSError):
                 break  # driver replaced this worker's pipes (respawn race)
     finally:
@@ -493,24 +449,6 @@ def _largest_first(tiles: list[TileTask]) -> list[TileTask]:
     The only imbalance left is at most one tile per worker.
     """
     return sorted(tiles, key=lambda t: (-t.n_pairs, t.i0, t.j0))
-
-
-def _chunk_batches(
-    order: list[TileTask], pending: set[TileTask], batch_size: int
-) -> "deque[tuple[TileTask, ...]]":
-    """Chunk still-pending tiles (in schedule order) into dispatch units."""
-    queue: deque[tuple[TileTask, ...]] = deque()
-    chunk: list[TileTask] = []
-    for tile in order:
-        if tile not in pending:
-            continue
-        chunk.append(tile)
-        if len(chunk) >= batch_size:
-            queue.append(tuple(chunk))
-            chunk = []
-    if chunk:
-        queue.append(tuple(chunk))
-    return queue
 
 
 @dataclass
@@ -584,28 +522,27 @@ class RetryContext:
 
 
 @dataclass(eq=False)
-class BatchHandle:
-    """Driver-side identity of one in-flight dispatch unit."""
+class TileHandle:
+    """Driver-side identity of one in-flight tile."""
 
-    unit: tuple[TileTask, ...]
+    tile: TileTask
     started: float
-    batch_id: int = -1
+    tile_id: int = -1
     slot: int | None = None
     worker: int | None = None
     future: object | None = None
 
 
 @dataclass(eq=False)
-class BatchDone:
-    """One completed unit as surfaced by ``drain``.
+class TileDone:
+    """One completed tile as surfaced by ``drain``.
 
-    Either ``outcome`` holds per-tile results or ``error`` holds a
-    unit-level failure (worker death, a raising task) charged to every
-    tile in the unit.
+    Exactly one of ``result`` / ``error`` is set: the error is what the
+    tile raised, or a worker death charged to every tile it held.
     """
 
-    handle: BatchHandle
-    outcome: tuple[_TileOutcome, ...] | None
+    handle: TileHandle
+    result: TileResult | None
     error: BaseException | None = None
 
 
@@ -614,34 +551,29 @@ class ExecutorBackend(Protocol):
     """What :func:`drive` needs from an execution strategy.
 
     ``start`` readies the pool (may raise: spawn failure, counted
-    against the retry budget), ``submit_batch`` dispatches one unit or
-    returns ``None`` when the backend is at capacity, ``drain`` blocks
-    until at least one unit completes (or the timeout lapses) and
-    returns them, and ``close`` ends the round: it aborts whatever is
-    still in flight and releases everything the backend holds for the
-    run (a warm pool stays warm). The per-unit hooks keep the generic
-    loop generic: ``cancel_overdue`` drops units the watchdog found past
-    their budget (a backend that cannot stop them remembers them
-    itself), ``materialize`` turns an in-band outcome into a
-    :class:`TileResult` (reading the shared-memory arena where
-    applicable), and ``release`` recycles per-unit resources.
+    against the retry budget), ``submit`` dispatches one tile or returns
+    ``None`` when the backend is at capacity, ``drain`` blocks until at
+    least one tile completes (or the timeout lapses) and returns them,
+    and ``close`` ends the round: it aborts whatever is still in flight
+    and releases everything the backend holds for the run (a warm pool
+    stays warm). The per-tile hooks keep the generic loop generic:
+    ``cancel_overdue`` drops tiles the watchdog found past their budget
+    (a backend that cannot stop them remembers them itself), and
+    ``release`` recycles a drained tile's resources — a block read from
+    the shared-memory arena is valid only until then.
     """
 
     name: str
 
     def start(self) -> None: ...
 
-    def submit_batch(
-        self, unit: tuple[TileTask, ...], epochs: tuple[int, ...]
-    ) -> BatchHandle | None: ...
+    def submit(self, tile: TileTask, epoch: int) -> TileHandle | None: ...
 
-    def drain(self, timeout: float | None) -> list[BatchDone]: ...
+    def drain(self, timeout: float | None) -> list[TileDone]: ...
 
-    def cancel_overdue(self, handles: list[BatchHandle]) -> None: ...
+    def cancel_overdue(self, handles: list[TileHandle]) -> None: ...
 
-    def materialize(self, handle: BatchHandle, item: _TileOutcome) -> TileResult: ...
-
-    def release(self, handle: BatchHandle) -> None: ...
+    def release(self, handle: TileHandle) -> None: ...
 
     def close(self) -> None: ...
 
@@ -654,45 +586,43 @@ class ExecutorBackend(Protocol):
 class SerialBackend:
     """In-process execution behind the same interface as the pools.
 
-    ``submit_batch`` computes inline with capacity one, so the driver
-    delivers each tile before the next is computed — the property the
+    ``submit`` computes inline with capacity one, so the driver delivers
+    each tile before the next is computed — the property the
     crash/resume tests pin (a crash after N deliveries journals exactly
-    N tiles). A running tile cannot be preempted, so a unit that ran
-    past ``tile_timeout`` inline is already overdue when it returns:
-    the watchdog cancels it like any other, which drops its outcome.
-    Nothing is dispatched, so it counts no ``batches_this_run``.
+    N tiles). A running tile cannot be preempted, so a tile that ran
+    past ``tile_timeout`` inline is already overdue when it returns: the
+    watchdog cancels it like any other, which drops its result. Nothing
+    is dispatched, so it counts no ``dispatched_this_run``.
     """
 
     name = "serial"
 
     def __init__(self, task: TileTaskFn) -> None:
         self._task = task
-        self._ready: list[BatchDone] = []
+        self._ready: list[TileDone] = []
 
     def start(self) -> None:
         return None
 
-    def submit_batch(
-        self, unit: tuple[TileTask, ...], epochs: tuple[int, ...]
-    ) -> BatchHandle | None:
+    def submit(self, tile: TileTask, epoch: int) -> TileHandle | None:
         if self._ready:
             return None
-        handle = BatchHandle(unit=unit, started=time.perf_counter())
-        outcome = run_unit(self._task, unit, epochs)
-        self._ready.append(BatchDone(handle=handle, outcome=outcome))
+        handle = TileHandle(tile=tile, started=time.perf_counter())
+        try:
+            done = TileDone(handle, self._task(tile, epoch))
+        except Exception as error:  # noqa: BLE001 - charged by the driver
+            done = TileDone(handle, None, error)
+        self._ready.append(done)
         return handle
 
-    def drain(self, timeout: float | None) -> list[BatchDone]:
+    def drain(self, timeout: float | None) -> list[TileDone]:
         ready, self._ready = self._ready, []
         return ready
 
-    def cancel_overdue(self, handles: list[BatchHandle]) -> None:
+    def cancel_overdue(self, handles: list[TileHandle]) -> None:
         self._ready = [d for d in self._ready if d.handle not in handles]
 
-    def materialize(self, handle: BatchHandle, item: _TileOutcome) -> TileResult:
-        return item.result
-
-    def release(self, handle: BatchHandle) -> None:
+    def release(self, handle: TileHandle) -> None:
         return None
 
     def close(self) -> None:
@@ -707,10 +637,10 @@ class SerialBackend:
 class ThreadsBackend:
     """A per-run ``ThreadPoolExecutor`` of GIL-released numpy workers.
 
-    In-flight units are bounded per worker, like the persistent pool's
-    (two, or one under a watchdog budget, which a unit queued behind
+    In-flight tiles are bounded per worker, like the persistent pool's
+    (two, or one under a watchdog budget, which a tile queued behind
     another would spend waiting), so each ``drain`` waits on a handful
-    of futures rather than on every unit of the run.
+    of futures rather than on every tile of the run.
 
     Threads cannot be killed, so the watchdog *orphans* an overdue
     future — it is removed from tracking, its eventual result discarded,
@@ -732,7 +662,7 @@ class ThreadsBackend:
         self._futures: dict = {}
         self._orphans: list = []
         self.spawns_this_run = 0
-        self.batches_this_run = 0
+        self.dispatched_this_run = 0
 
     def start(self) -> None:
         if self._pool is None:
@@ -741,37 +671,31 @@ class ThreadsBackend:
             self.spawns_this_run += 1
             self._ctx.note_pool_spawn(self.name)
 
-    def submit_batch(
-        self, unit: tuple[TileTask, ...], epochs: tuple[int, ...]
-    ) -> BatchHandle | None:
+    def submit(self, tile: TileTask, epoch: int) -> TileHandle | None:
         if len(self._futures) >= self._max_inflight:
             return None
         with span("driver.dispatch"):
-            future = self._pool.submit(run_unit, self._task, unit, epochs)
-        handle = BatchHandle(
-            unit=unit, started=time.perf_counter(), future=future
+            future = self._pool.submit(self._task, tile, epoch)
+        handle = TileHandle(
+            tile=tile, started=time.perf_counter(), future=future
         )
         self._futures[future] = handle
-        self.batches_this_run += 1
+        self.dispatched_this_run += 1
         return handle
 
-    def drain(self, timeout: float | None) -> list[BatchDone]:
+    def drain(self, timeout: float | None) -> list[TileDone]:
         done, _ = wait(
             set(self._futures), timeout=timeout, return_when=FIRST_COMPLETED
         )
-        completed: list[BatchDone] = []
+        completed: list[TileDone] = []
         for future in done:
             handle = self._futures.pop(future)
             error = future.exception()
-            if error is None:
-                completed.append(BatchDone(handle=handle, outcome=future.result()))
-            else:
-                completed.append(
-                    BatchDone(handle=handle, outcome=None, error=error)
-                )
+            result = None if error is not None else future.result()
+            completed.append(TileDone(handle, result, error))
         return completed
 
-    def cancel_overdue(self, handles: list[BatchHandle]) -> None:
+    def cancel_overdue(self, handles: list[TileHandle]) -> None:
         # Threads cannot be killed: orphan the future (its result will
         # be discarded) and let the driver recycle the tiles through the
         # ordinary failure path.
@@ -779,10 +703,7 @@ class ThreadsBackend:
             self._futures.pop(handle.future, None)
             self._orphans.append(handle.future)
 
-    def materialize(self, handle: BatchHandle, item: _TileOutcome) -> TileResult:
-        return item.result
-
-    def release(self, handle: BatchHandle) -> None:
+    def release(self, handle: TileHandle) -> None:
         return None
 
     def close(self) -> None:
@@ -813,7 +734,7 @@ def panel_fingerprint(words: np.ndarray, n_samples: int) -> str:
     Unlike :func:`repro.core.engine.input_fingerprint` this covers only
     the panel itself — not stat/blocking parameters — because one warm
     pool serves any run against the same words (per-run configuration
-    travels with each batch message).
+    travels with the first tile each worker is sent).
     """
     words = np.ascontiguousarray(words, dtype=np.uint64)
     digest = hashlib.blake2b(digest_size=16)
@@ -846,7 +767,7 @@ class PersistentPool:
     *per-worker* raw pipe connections in both directions (a SIGKILLed
     worker can never poison a shared queue lock, and there is no queue
     feeder thread adding latency; a respawn simply replaces the dead
-    worker's pipes). Replies are tagged with pool-global batch ids, so
+    worker's pipes). Replies are tagged with pool-global tile ids, so
     a stale reply from an aborted run can never be mistaken for a live
     one — and since a respawn closes the old pipes, stale replies die
     with them.
@@ -869,7 +790,7 @@ class PersistentPool:
         # make the idle reaper stop a fresh pool.
         self.last_used = time.monotonic()
         self.in_use = 0
-        self.batch_ids = itertools.count()
+        self.tile_ids = itertools.count()
         self._mp = _mp_context()
         self._freqs = np.ascontiguousarray(freqs)
         self._n_samples = n_samples
@@ -1017,18 +938,20 @@ def _close_conn(conn) -> None:
 
 
 class PersistentBackend:
-    """Warm-pool execution: batches go to already-running workers.
+    """Warm-pool execution: tiles go to already-running workers.
 
     ``start`` acquires (or builds) the registry pool for this panel and
-    respawns any workers that died between runs; ``submit_batch`` sends
-    to the least-loaded live worker over its private pipe (bounded
-    outstanding per worker, windowed by arena slots), shipping the
-    run's :class:`TileConfig` once per worker before its first batch;
+    respawns any workers that died between runs; ``submit`` sends one
+    tile to the least-loaded live worker over its private pipe (bounded
+    outstanding per worker, one arena slot per tile), shipping the
+    run's :class:`TileConfig` once per worker before its first tile;
     ``drain`` multiplexes the per-worker reply pipes with
     ``multiprocessing.connection.wait`` — results wake it immediately,
     and silence + a dead worker means a worker crash: that worker alone
-    is respawned and its batch charged a retry, never a whole-pool
-    rebuild. ``close`` leaves the pool warm for the next run.
+    is respawned and the tiles it held charged a retry, never a
+    whole-pool rebuild. A drained result's block is the arena view of
+    its slot, valid until ``release``. ``close`` leaves the pool warm
+    for the next run.
     """
 
     name = "persistent"
@@ -1044,7 +967,6 @@ class PersistentBackend:
         n_samples: int,
         config: TileConfig,
         n_workers: int,
-        batch_size: int,
         max_tile_elems: int,
         ctx: RetryContext,
         panel_path: str | None = None,
@@ -1056,13 +978,13 @@ class PersistentBackend:
         self._config = config
         self._ctx = ctx
         self._n_workers = n_workers
-        self._slot_elems = batch_size * max_tile_elems
-        # One outstanding batch per worker under a timeout (a watchdog
+        self._slot_elems = max_tile_elems
+        # One outstanding tile per worker under a timeout (a watchdog
         # kill must have no collateral); two otherwise so the queue hides
         # dispatch latency.
         self._max_per_worker = 1 if ctx.tile_timeout is not None else 2
         self._pool: PersistentPool | None = None
-        self._outstanding: dict[int, BatchHandle] = {}
+        self._outstanding: dict[int, TileHandle] = {}
         self._loads: dict[int, int] = {}
         #: Workers that already hold this run's config (resent after a
         #: respawn, and never assumed from a previous run).
@@ -1070,7 +992,7 @@ class PersistentBackend:
         self._spawn_index = 0
         self.spawns_this_run = 0
         self.respawns_this_run = 0
-        self.batches_this_run = 0
+        self.dispatched_this_run = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1123,7 +1045,7 @@ class PersistentBackend:
         On a clean round nothing is outstanding and this only drops
         stale replies. On an exception escape (a crashing sink, an
         injected torn-manifest crash) the workers holding outstanding
-        batches are killed and respawned — deterministic, and it
+        tiles are killed and respawned — deterministic, and it
         guarantees no stale writer touches an arena slot the next run
         hands out.
         """
@@ -1137,7 +1059,7 @@ class PersistentBackend:
         self._outstanding = {}
         self._loads = {}
         # A respawn closed the aborted workers' pipes, so only replies
-        # already delivered by batches no longer tracked can remain.
+        # already delivered by tiles no longer tracked can remain.
         for conn in mp_connection.wait(_live_conns(pool), timeout=0):
             try:
                 while True:
@@ -1151,34 +1073,32 @@ class PersistentBackend:
 
     # -- dispatch ----------------------------------------------------------
 
-    def submit_batch(
-        self, unit: tuple[TileTask, ...], epochs: tuple[int, ...]
-    ) -> BatchHandle | None:
+    def submit(self, tile: TileTask, epoch: int) -> TileHandle | None:
         worker = self._pick_worker()
         if worker is None:
             return None
         slot = self._pool.arena.acquire()
         if slot is None:
             return None
-        batch_id = next(self._pool.batch_ids)
+        tile_id = next(self._pool.tile_ids)
         conn = self._pool.task_conns[worker]
         config = None if worker in self._configured else self._config
         with span("driver.enqueue"):
             try:
-                conn.send((batch_id, unit, epochs, slot, config))
+                conn.send((tile_id, tile, epoch, slot, config))
             except (BrokenPipeError, OSError):
                 # The worker died under us; hand the slot back and let
                 # drain's liveness sweep (or the next start) respawn it.
                 self._pool.arena.release(slot)
                 return None
         self._configured.add(worker)
-        handle = BatchHandle(
-            unit=unit, started=time.perf_counter(),
-            batch_id=batch_id, slot=slot, worker=worker,
+        handle = TileHandle(
+            tile=tile, started=time.perf_counter(),
+            tile_id=tile_id, slot=slot, worker=worker,
         )
-        self._outstanding[batch_id] = handle
+        self._outstanding[tile_id] = handle
         self._loads[worker] += 1
-        self.batches_this_run += 1
+        self.dispatched_this_run += 1
         return handle
 
     def _pick_worker(self) -> int | None:
@@ -1192,8 +1112,8 @@ class PersistentBackend:
                 best_load = load
         return best
 
-    def drain(self, timeout: float | None) -> list[BatchDone]:
-        completed: list[BatchDone] = []
+    def drain(self, timeout: float | None) -> list[TileDone]:
+        completed: list[TileDone] = []
         deadline = (
             None if timeout is None else time.perf_counter() + timeout
         )
@@ -1213,7 +1133,7 @@ class PersistentBackend:
                             break
                 except (EOFError, OSError):
                     # Closed pipe end: the worker died — the liveness
-                    # sweep below turns that into a charged batch.
+                    # sweep below turns that into charged tiles.
                     pass
             if not ready or not completed:
                 completed.extend(self._collect_dead())
@@ -1222,12 +1142,12 @@ class PersistentBackend:
             if deadline is not None and time.perf_counter() >= deadline:
                 return completed
 
-    def _admit(self, message) -> BatchDone | None:
+    def _admit(self, message) -> TileDone | None:
         """Match one reply to an in-flight handle; drop stale replies."""
-        batch_id, worker, outcome, idle_seconds = message
-        handle = self._outstanding.pop(batch_id, None)
+        tile_id, worker, result, error, idle_seconds = message
+        handle = self._outstanding.pop(tile_id, None)
         if handle is None:
-            # A reply from a batch this run no longer tracks (aborted
+            # A reply from a tile this run no longer tracks (aborted
             # round, watchdog kill that lost the race). Its slot has
             # already been recycled; CRC verification covers any writer
             # race on the arena bytes.
@@ -1240,11 +1160,14 @@ class PersistentBackend:
             and self._ctx.recorder is not None
         ):
             self._ctx.recorder.observe_time("phase.worker.idle", idle_seconds)
-        return BatchDone(handle=handle, outcome=outcome)
+        if result is not None:
+            block = self._pool.arena.view(handle.slot, handle.tile)
+            result = replace(result, block=block)
+        return TileDone(handle, result, error)
 
-    def _collect_dead(self) -> list[BatchDone]:
-        """Turn dead workers into charged batches + single respawns."""
-        lost: list[BatchDone] = []
+    def _collect_dead(self) -> list[TileDone]:
+        """Turn dead workers into charged tiles + single respawns."""
+        lost: list[TileDone] = []
         for index in range(self._n_workers):
             proc = self._pool.workers[index]
             if proc is not None and proc.is_alive():
@@ -1257,8 +1180,8 @@ class PersistentBackend:
             for handle in [
                 h for h in self._outstanding.values() if h.worker == index
             ]:
-                self._outstanding.pop(handle.batch_id, None)
-                lost.append(BatchDone(handle=handle, outcome=None, error=error))
+                self._outstanding.pop(handle.tile_id, None)
+                lost.append(TileDone(handle, None, error))
             self._respawn(index)
         return lost
 
@@ -1270,24 +1193,18 @@ class PersistentBackend:
         self.respawns_this_run += 1
         self._ctx.note_worker_respawn(index)
 
-    def cancel_overdue(self, handles: list[BatchHandle]) -> None:
+    def cancel_overdue(self, handles: list[TileHandle]) -> None:
         """Watchdog: kill only the stuck workers, respawn them in place."""
         killed: set[int] = set()
         for handle in handles:
-            self._outstanding.pop(handle.batch_id, None)
+            self._outstanding.pop(handle.tile_id, None)
             self._pool.arena.release(handle.slot)
             if handle.worker in killed:
                 continue  # pragma: no cover - one outstanding under timeout
             killed.add(handle.worker)
             self._respawn(handle.worker)
 
-    def materialize(self, handle: BatchHandle, item: _TileOutcome) -> TileResult:
-        tile = handle.unit[item.index]
-        shape = (tile.i1 - tile.i0, tile.j1 - tile.j0)
-        block = self._pool.arena.read(handle.slot, item.offset, shape)
-        return replace(item.result, block=block)
-
-    def release(self, handle: BatchHandle) -> None:
+    def release(self, handle: TileHandle) -> None:
         self._pool.arena.release(handle.slot)
 
 
@@ -1410,32 +1327,27 @@ def drive(
     backend: ExecutorBackend,
     tiles: list[TileTask],
     ctx: RetryContext,
-    *,
-    batch_size: int = 1,
 ) -> int:
-    """Drive batched tile units through *backend* with retry and watchdog.
+    """Drive *tiles* through *backend*, one per dispatch, with retry and
+    watchdog.
 
-    Tiles are dispatched ``batch_size`` per unit (amortizing dispatch
-    overhead); each unit reports per-tile outcomes, so a failing tile is
-    charged an attempt and resubmitted as a singleton while its
-    batch-mates land normally. Past ``max_retries`` a tile is
-    quarantined (when allowed) or the run aborts with the original
-    error. When the pool cannot be started within the retry budget,
-    :class:`ExecutorBroken` escapes so the caller can degrade to a
-    simpler executor. Returns the number of retries.
+    A failing tile is charged an attempt and resubmitted; past
+    ``max_retries`` it is quarantined (when allowed) or the run aborts
+    with the original error. When the pool cannot be started within the
+    retry budget, :class:`ExecutorBroken` escapes so the caller can
+    degrade to a simpler executor. Returns the number of retries.
 
-    The watchdog: with ``ctx.tile_timeout`` set, a unit running past its
+    The watchdog: with ``ctx.tile_timeout`` set, a tile running past its
     wall-clock budget is cancelled via ``backend.cancel_overdue`` —
     SIGKILL + single respawn for persistent workers, orphaning for
-    threads, dropping the outcome of a serial unit that overran inline —
-    and its tiles are charged a timeout. Each round ends with
-    ``backend.close()``, however it ends.
+    threads, dropping the result of a serial tile that overran inline —
+    and charged a timeout. Each round ends with ``backend.close()``,
+    however it ends.
     """
     retries = 0
     resets = 0
     attempts = dict.fromkeys(tiles, 0)
     pending = set(tiles)
-    order = list(tiles)
 
     def handle_failure(
         tile: TileTask, error: BaseException, requeue: deque
@@ -1454,7 +1366,7 @@ def drive(
         if delay > 0:
             with span("driver.backoff"):
                 time.sleep(delay)
-        requeue.append((tile,))
+        requeue.append(tile)
 
     while pending:
         try:
@@ -1466,21 +1378,18 @@ def drive(
             if resets > ctx.max_retries:
                 raise ExecutorBroken(error) from error
             continue
-        queue = _chunk_batches(order, pending, batch_size)
-        inflight: set[BatchHandle] = set()
-        # Completed units not yet released (they may hold arena slots).
-        drained: deque[BatchDone] = deque()
-
-        def try_submit(unit: tuple[TileTask, ...]) -> bool:
-            epochs = tuple(attempts[t] + resets for t in unit)
-            handle = backend.submit_batch(unit, epochs)
-            if handle is None:
-                return False
-            inflight.add(handle)
-            return True
+        queue = deque(t for t in tiles if t in pending)
+        inflight: set[TileHandle] = set()
+        # Completed tiles not yet released (they may hold arena slots).
+        drained: deque[TileDone] = deque()
 
         def pump() -> None:
-            while queue and try_submit(queue[0]):
+            while queue:
+                tile = queue[0]
+                handle = backend.submit(tile, attempts[tile] + resets)
+                if handle is None:
+                    return
+                inflight.add(handle)
                 queue.popleft()
 
         try:
@@ -1501,16 +1410,14 @@ def drive(
                         backend.cancel_overdue(overdue)
                         for handle in overdue:
                             inflight.discard(handle)
-                            for tile in handle.unit:
-                                if tile in pending:
-                                    handle_failure(
-                                        tile,
-                                        TileTimeoutError(
-                                            f"tile {tile.key} exceeded the "
-                                            f"{ctx.tile_timeout}s budget"
-                                        ),
-                                        queue,
-                                    )
+                            handle_failure(
+                                handle.tile,
+                                TileTimeoutError(
+                                    f"tile {handle.tile.key} exceeded the "
+                                    f"{ctx.tile_timeout}s budget"
+                                ),
+                                queue,
+                            )
                         pump()
                         continue
                     deadline = min(
@@ -1521,37 +1428,27 @@ def drive(
                     drained.extend(backend.drain(slack))
                 while drained:
                     done = drained[0]
-                    handle = done.handle
-                    inflight.discard(handle)
+                    tile = done.handle.tile
+                    inflight.discard(done.handle)
                     if done.error is not None:
-                        for tile in handle.unit:
-                            if tile in pending:
-                                handle_failure(tile, done.error, queue)
+                        handle_failure(tile, done.error, queue)
                     else:
-                        for item in done.outcome:
-                            tile = handle.unit[item.index]
-                            if tile not in pending:
-                                continue
-                            if item.error is not None:
-                                handle_failure(tile, item.error, queue)
-                                continue
-                            result = backend.materialize(handle, item)
-                            try:
-                                ctx.verify(tile, result)
-                            except TileCorruptionError as corrupt:
-                                handle_failure(tile, corrupt, queue)
-                                continue
+                        try:
+                            ctx.verify(tile, done.result)
+                        except TileCorruptionError as corrupt:
+                            handle_failure(tile, corrupt, queue)
+                        else:
                             # An arena-backed block is only valid until
                             # the slot is released; deliver consumes it
                             # now.
-                            ctx.deliver(tile, result)
+                            ctx.deliver(tile, done.result)
                             pending.discard(tile)
                     backend.release(drained.popleft().handle)
                     pump()
         finally:
             # A raising sink, an exhausted retry or an injected crash
             # skips the releases above; a warm pool outlives the run, so
-            # the slots of every drained unit must go back here.
+            # the slots of every drained tile must go back here.
             for done in drained:
                 backend.release(done.handle)
             backend.close()

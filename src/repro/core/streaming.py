@@ -259,7 +259,7 @@ class ThresholdCollector:
     ``(i, j, value)`` with ``i > j``; self-pairs are excluded.
 
     Delivery is *idempotent per tile*: results are keyed by the tile's
-    ``(i0, j0)`` corner, and a re-delivered tile (a retried engine batch,
+    ``(i0, j0)`` corner, and a re-delivered tile (a retried engine tile,
     a resumed run recomputing an unjournaled tile, a torn-manifest
     replay) replaces its previous hits instead of appending duplicates.
     Hit extraction is vectorized — no per-hit Python loop.

@@ -108,7 +108,7 @@ class LivePublisher:
     timeline:
         The run's :class:`~repro.observe.report.WorkerTimeline`, a sink
         of the same recorder attached *before* this publisher: the
-        worker rows and the idle verdicts read it.
+        worker rows read it.
     config:
         Static run description carried verbatim into every snapshot
         (engine, stat, shape, band, memory budget, ...). When it names
@@ -285,7 +285,7 @@ class LivePublisher:
             "recent_respawns": list(self._respawn_log),
             "retries": counters.get("engine.retries", 0),
             "prefetch": prefetch,
-            "anomalies": find_anomalies(self.recorder, self.timeline, elapsed),
+            "anomalies": find_anomalies(self.recorder, elapsed),
             "rate_history": [round(r, 3) for r in self._rate_history],
         }
 

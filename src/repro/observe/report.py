@@ -18,10 +18,10 @@ every instrumentation artifact of the repo as text:
   run is priced against the machine model (dense, nothing resumed,
   nothing quarantined) and :func:`find_anomalies` is the one rule set
   for the failure smells the out-of-core GEMM literature warns about
-  (I/O-bound sweeps, idle workers, unattributed time, fault-path
-  churn, a band that prunes nothing). The registry record takes its
-  %-of-peak and anomalies from the report; the live snapshot applies
-  both functions to its running totals, so no view can disagree.
+  (I/O-bound sweeps, unattributed time, fault-path churn, a band that
+  prunes nothing). The registry record takes its %-of-peak and
+  anomalies from the report; the live snapshot applies both functions
+  to its running totals, so no view can disagree.
 - :class:`WorkerTimeline` is the recorder sink behind the per-worker
   timeline: it folds ``tile_computed`` events as they arrive, and the
   live snapshot reads the same rows for its worker table.
@@ -71,8 +71,6 @@ class UnknownSchemaError(ValueError):
     this reader, which deserves a distinct, scriptable signal.
     """
 
-#: A worker idle more than this fraction of the run is flagged.
-IDLE_THRESHOLD = 0.15
 #: Span self-times must cover at least this share of measured tile compute.
 COVERAGE_FLOOR = 0.90
 #: Prefetch stall above this share of the run flags an I/O-bound run.
@@ -85,7 +83,7 @@ STALL_THRESHOLD = 0.10
 #: profiler) from being counted twice.
 _DRIVER_PREFIX = "driver."
 
-#: The pool worker's wait between batches: a ``phase.*`` timer, but not
+#: The pool worker's wait between tiles: a ``phase.*`` timer, but not
 #: part of any tile's compute time.
 _WORKER_IDLE = "phase.worker.idle"
 
@@ -219,15 +217,13 @@ def _phase_coverage(recorder) -> float | None:
     return sum(phases) / compute.total
 
 
-def find_anomalies(
-    recorder, timeline: WorkerTimeline, seconds: float
-) -> list[dict]:
+def find_anomalies(recorder, seconds: float) -> list[dict]:
     """Flag the run's attribution smells, worst first by convention.
 
-    Judged on the recorder's totals and *timeline* over *seconds* of
-    run, so the live snapshot mid-run and the report at the end apply
-    this one rule set; at ``run_end`` both see the same totals and the
-    engine's ``engine.run_seconds``, and agree exactly.
+    Judged on the recorder's totals over *seconds* of run, so the live
+    snapshot mid-run and the report at the end apply this one rule set;
+    at ``run_end`` both see the same totals and the engine's
+    ``engine.run_seconds``, and agree exactly.
     """
     counters = recorder.counters
     out: list[dict] = []
@@ -264,18 +260,6 @@ def find_anomalies(
                 "remainder is unattributed"
             ),
         })
-    workers = timeline.summary(seconds)["workers"]
-    for row in workers:
-        if len(workers) > 1 and row["idle_fraction"] > IDLE_THRESHOLD:
-            out.append({
-                "kind": "worker_idle",
-                "detail": (
-                    f"worker {row['worker']} idle "
-                    f"{row['idle_fraction']:.0%} of the run "
-                    f"(threshold {IDLE_THRESHOLD:.0%}) — tile imbalance "
-                    "or dispatch starvation"
-                ),
-            })
     retries = counters.get("engine.retries", 0)
     if retries > 0:
         out.append({
@@ -452,7 +436,7 @@ def build_run_report(
     ]
     payload["timeline"] = timeline.summary(run_seconds)
     payload["phase_coverage"] = _phase_coverage(recorder)
-    payload["anomalies"] = find_anomalies(recorder, timeline, run_seconds)
+    payload["anomalies"] = find_anomalies(recorder, run_seconds)
     payload.update(recorder.summary())
     return payload
 

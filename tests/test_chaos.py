@@ -265,6 +265,29 @@ class TestPersistentChaos:
         assert report.n_pool_spawns == 1
         np.testing.assert_array_equal(np.load(out), clean_matrix)
 
+    def test_kill_charges_only_the_tiles_the_worker_held(self, tmp_path):
+        """A worker holds at most two tiles, so a SIGKILL costs at most
+        two retries, and the matrix is a clean run's."""
+        rng = np.random.default_rng(0x5EED)
+        panel = rng.integers(0, 2, size=(100, 256)).astype(np.uint8)
+        clean = tmp_path / "clean.npy"
+        with NpyMemmapSink(clean, 256) as sink:
+            run_engine(panel, sink, engine="serial", block_snps=32)
+        plan = FaultPlan(seed=7, specs=(
+            FaultSpec(site="tile_compute", action="kill", tile=(32, 0),
+                      attempts_below=1),
+        ))
+        out = tmp_path / "killed.npy"
+        with NpyMemmapSink(out, 256) as sink:
+            report = run_engine(
+                panel, sink, engine="persistent", block_snps=32,
+                n_workers=2, max_retries=MAX_RETRIES, retry_backoff=0.0,
+                faults=plan,
+            )
+        assert report.complete and report.n_worker_respawns == 1
+        assert 1 <= report.n_retries <= 2
+        np.testing.assert_array_equal(np.load(out), np.load(clean))
+
     def test_kill_mid_batch_surfaces_in_live_snapshot(
         self, chaos_panel, clean_matrix, tmp_path
     ):

@@ -310,35 +310,27 @@ class TestCrashResume:
 
 
 class TestBatchedDispatch:
-    """Batched tile units and the shared-memory result arena."""
+    """One tile per dispatch, and the shared-memory result arena."""
 
     @pytest.mark.parametrize("engine", ["threads", "persistent"])
-    @pytest.mark.parametrize("batch", [1, 2, 3, 100])
-    def test_batched_matrix_is_bit_identical(self, panel, engine, batch):
+    def test_batched_matrix_is_bit_identical(self, panel, engine):
         n = panel.shape[1]
         sink = _AssemblingSink(n)
         report = run_engine(
             panel, sink, engine=engine, block_snps=10, n_workers=2,
-            batch_tiles=batch,
         )
         assert report.complete
-        n_units = -(-report.n_tiles // batch)
-        assert report.n_batches == n_units
+        assert report.n_batches == report.n_tiles
         il = np.tril_indices(n)
         np.testing.assert_array_equal(sink.matrix[il], ld_matrix(panel)[il])
 
     def test_serial_ignores_batching(self, panel):
+        # Serial computes inline: nothing is dispatched.
         report = run_engine(
             panel, _AssemblingSink(panel.shape[1]), engine="serial",
-            block_snps=10, batch_tiles=4,
+            block_snps=10,
         )
         assert report.complete and report.n_batches == 0
-
-    def test_rejects_nonpositive_batch(self, panel):
-        with pytest.raises(ValueError, match="batch_tiles"):
-            run_engine(
-                panel, lambda *a: None, engine="threads", batch_tiles=0
-            )
 
     @pytest.mark.parametrize("engine", ["threads", "persistent"])
     def test_batch_accounting_in_recorder(self, panel, engine):
@@ -347,25 +339,31 @@ class TestBatchedDispatch:
         recorder = MetricsRecorder()
         report = run_engine(
             panel, _AssemblingSink(panel.shape[1]), engine=engine,
-            block_snps=10, n_workers=2, batch_tiles=2, recorder=recorder,
+            block_snps=10, n_workers=2, recorder=recorder,
         )
         assert recorder.counters["engine.batches_dispatched"] == report.n_batches
+        assert report.n_batches == report.n_tiles
         if engine == "persistent":
             # The result arena's footprint is reported once per pool.
             assert recorder.counters["engine.arena_bytes"] > 0
         else:
             assert "engine.arena_bytes" not in recorder.counters
 
-    @pytest.mark.parametrize("engine", ["threads", "persistent"])
-    def test_tile_timeout_forces_singleton_batches(self, panel, engine):
+    def test_arena_holds_one_tile_per_slot(self, rng):
+        # 40 SNPs in 10-SNP blocks: every tile is a full 10 x 10 block.
+        panel = rng.integers(0, 2, size=(50, 40)).astype(np.uint8)
+        stop_pools()
+        recorder = MetricsRecorder()
+        n_workers, block_snps = 2, 10
         report = run_engine(
-            panel, _AssemblingSink(panel.shape[1]), engine=engine,
-            block_snps=10, n_workers=2, batch_tiles=5, tile_timeout=60.0,
+            panel, _AssemblingSink(40), engine="persistent",
+            block_snps=block_snps, n_workers=n_workers, recorder=recorder,
         )
-        # The per-tile watchdog budget only makes sense with one tile per
-        # future, so the requested batch size is overridden.
-        assert report.complete
-        assert report.n_batches == report.n_tiles
+        assert report.complete and report.n_pool_spawns == 1
+        slots = 2 * n_workers + 2
+        assert recorder.counters["engine.arena_bytes"] == (
+            slots * block_snps**2 * 8
+        )
 
     @pytest.mark.parametrize("engine", ["threads", "persistent"])
     def test_transient_failure_inside_batch_retries_only_that_tile(
@@ -379,11 +377,13 @@ class TestBatchedDispatch:
         recorder = MetricsRecorder()
         report = run_engine(
             panel, sink, engine=engine, block_snps=10, n_workers=2,
-            batch_tiles=3, max_retries=2, retry_backoff=0.0, faults=plan,
+            max_retries=2, retry_backoff=0.0, faults=plan,
             recorder=recorder,
         )
         assert report.complete
         assert report.n_retries == 2
+        # Each resubmission is a dispatch of its own.
+        assert report.n_batches == report.n_tiles + 2
         retry_events = [e for e in recorder.events if e["event"] == "tile_retry"]
         assert all(e["tile"] == [10, 10] for e in retry_events)
         il = np.tril_indices(n)
@@ -396,6 +396,6 @@ class TestBatchedDispatch:
         with pytest.raises(InjectedFault, match="injected raise"):
             run_engine(
                 panel, _AssemblingSink(panel.shape[1]), engine="persistent",
-                block_snps=10, n_workers=2, batch_tiles=4, max_retries=1,
+                block_snps=10, n_workers=2, max_retries=1,
                 retry_backoff=0.0, faults=plan,
             )

@@ -196,8 +196,8 @@ class TestBoundedDispatch:
     def test_threads_keep_at_most_two_units_per_worker_in_flight(
         self, panel, monkeypatch
     ):
-        # Every unit submitted up front would make each drain wait on
-        # the whole run's futures: O(units) driver work per completion.
+        # Every tile submitted up front would make each drain wait on
+        # the whole run's futures: O(tiles) driver work per completion.
         in_flight: list[int] = []
         real_drain = executors_mod.ThreadsBackend.drain
 
@@ -209,8 +209,7 @@ class TestBoundedDispatch:
             executors_mod.ThreadsBackend, "drain", counting_drain
         )
         _, report = _assemble(
-            panel, engine="threads", block_snps=4, n_workers=2,
-            batch_tiles=1,
+            panel, engine="threads", block_snps=4, n_workers=2
         )
         assert report.complete and report.n_tiles >= 40
         assert in_flight and max(in_flight) <= 4

@@ -524,14 +524,14 @@ class TestPrefetchAttribution:
         assert any(name.startswith("io.") for name in payload["phases"])
 
     def test_io_bound_anomaly_fires_on_heavy_stall(self):
-        from repro.observe.report import WorkerTimeline, find_anomalies
+        from repro.observe.report import find_anomalies
 
         def kinds(stall_seconds: float) -> set[str]:
             recorder = MetricsRecorder()
             recorder.observe_time("prefetch.stall_seconds", stall_seconds)
             return {
                 a["kind"]
-                for a in find_anomalies(recorder, WorkerTimeline(), 1.0)
+                for a in find_anomalies(recorder, 1.0)
             }
 
         assert "io_bound" in kinds(0.5)

@@ -217,10 +217,10 @@ class TestRenderers:
         )
 
     def test_show_record(self):
-        text = render_run(make_record("r-a", anomalies=["worker_idle"]))
+        text = render_run(make_record("r-a", anomalies=["tile_retries"]))
         assert "r-a" in text
         assert "testhost" in text
-        assert "anomalies: worker_idle" in text
+        assert "anomalies: tile_retries" in text
         assert "out: ld.npy" in text
 
 

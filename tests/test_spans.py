@@ -272,7 +272,7 @@ class TestEngineSpans:
 
     def test_spans_compose_with_faults_and_batched_dispatch(self, panel):
         # Satellite: spans must survive fault injection (retries, backoff)
-        # and batched dispatch without losing attribution or correctness.
+        # and pool dispatch without losing attribution or correctness.
         plan = FaultPlan(seed=11, specs=(
             FaultSpec(site="tile_compute", tile=(8, 0), attempts_below=1),
         ))
@@ -282,12 +282,12 @@ class TestEngineSpans:
         with profiling(profiler):
             report = run_engine(
                 panel, lambda i, j, b: blocks.__setitem__((i, j), b.copy()),
-                engine="threads", block_snps=8, n_workers=2, batch_tiles=2,
+                engine="threads", block_snps=8, n_workers=2,
                 max_retries=2, retry_backoff=0.0, faults=plan,
                 recorder=recorder,
             )
         assert report.complete and report.n_retries == 1
-        assert report.n_batches >= 1
+        assert report.n_batches == report.n_tiles + report.n_retries
         assert recorder.event_count("tile_retry") == 1
         phases = _phases_of(recorder)
         assert {"tile", "plane_matmul", "stat"} <= set(phases)
