@@ -55,7 +55,6 @@ from repro.core.executors import (
 from repro.core.prefetch import (
     PanelPrefetcher,
     PanelWindow,
-    WarmReader,
     min_memory_budget,
     order_panel_major,
     plan_windows,
@@ -120,7 +119,6 @@ __all__ = [
     "stop_pools",
     "PanelPrefetcher",
     "PanelWindow",
-    "WarmReader",
     "min_memory_budget",
     "order_panel_major",
     "plan_windows",

@@ -585,7 +585,6 @@ def run_engine(
     resume: bool = False,
     max_retries: int = 2,
     tile_timeout: float | None = None,
-    retry_backoff: float = 0.05,
     allow_quarantine: bool = False,
     faults: FaultPlan | None = None,
     recorder: "MetricsRecorder | None" = None,
@@ -606,13 +605,17 @@ def run_engine(
         a rare SNP (:mod:`repro.core.carriers`) raises ``ValueError``
         before any tile is computed.
     memory_budget:
-        Byte ceiling for resident panel windows (store-backed inputs
-        only). Enables the double-buffered prefetch pipeline
-        (:mod:`repro.core.prefetch`): a loader thread stages the next
-        tile's A/B windows from disk while the fused GEMM computes the
-        current one, with ``io.prefetch``/``io.wait`` spans and
-        ``prefetch.*`` metrics attributing the I/O. ``None`` (default)
-        reads the memmap on demand with no explicit windowing.
+        Byte budget for panel windows (store-backed inputs only); tiles
+        run panel-major under it. On ``serial`` / ``threads`` it caps
+        resident panel bytes: the double-buffered prefetch pipeline
+        (:mod:`repro.core.prefetch`) stages the next tile's A/B windows
+        from disk while the fused GEMM computes the current one, with
+        ``io.prefetch``/``io.wait`` spans and ``prefetch.*`` metrics
+        attributing the I/O. A failed window read fails the tile that
+        needed the window, which costs that tile a retry. On
+        ``persistent`` the pool workers map the store themselves, so
+        the budget only orders their tiles. ``None`` (default) reads
+        the memmap on demand with no explicit windowing.
     sink:
         Callable ``(i0, j0, block)``; always invoked in the driver process
         (single-threaded), in arbitrary tile order under ``threads``/
@@ -653,6 +656,11 @@ def run_engine(
     max_retries:
         Times a failing tile is recomputed (and a failed pool spawn
         retried) before the tile is quarantined or the run abandoned.
+        A failed panel-window read on a budgeted run is charged to the
+        tile that needed the window. Retries back off exponentially
+        from :data:`repro.core.executors.RETRY_BACKOFF_BASE` seconds up
+        to :data:`repro.core.executors.RETRY_BACKOFF_CAP`, with
+        deterministic jitter per (tile, attempt).
     tile_timeout:
         Per-tile wall-clock budget in seconds. Under ``persistent`` the
         stuck worker is killed and respawned in place; under
@@ -660,12 +668,6 @@ def run_engine(
         resubmitted; a serial tile cannot be preempted, so one that ran
         past the budget is charged a timeout when it returns. ``None``
         (default) disables the watchdog.
-    retry_backoff:
-        Base (seconds) of the exponential backoff between retry
-        attempts, capped at
-        :data:`repro.core.executors.RETRY_BACKOFF_CAP`; jitter is
-        deterministic per (tile, attempt). Set it to 0 to retry
-        immediately.
     allow_quarantine:
         After ``max_retries``, journal the poison tile as quarantined and
         finish the run (reporting it in :class:`EngineReport`) instead of
@@ -673,8 +675,8 @@ def run_engine(
     faults:
         Optional :class:`repro.faults.FaultPlan` — deterministic fault
         injection at the ``tile_compute`` / ``tile_deliver`` /
-        ``manifest_append`` / ``pool_spawn`` sites. ``None`` (default)
-        costs one pointer comparison per site.
+        ``manifest_append`` / ``pool_spawn`` / ``prefetch`` sites.
+        ``None`` (default) costs one pointer comparison per site.
     recorder:
         Optional :class:`repro.observe.MetricsRecorder`, the run's one
         telemetry stream. When set, the run emits structured events —
@@ -714,8 +716,6 @@ def run_engine(
         raise ValueError(f"max_retries must be non-negative, got {max_retries}")
     if tile_timeout is not None and tile_timeout <= 0:
         raise ValueError(f"tile_timeout must be positive, got {tile_timeout}")
-    if retry_backoff < 0:
-        raise ValueError(f"retry_backoff must be non-negative, got {retry_backoff}")
     if resume and manifest_path is None:
         raise ValueError("resume=True requires a manifest_path")
     band_spec: BandSpec | None
@@ -766,7 +766,7 @@ def run_engine(
     window_rows = block_snps
     if store is not None and memory_budget is not None:
         # Validate the budget geometry up front (before any manifest is
-        # opened), and size the windows all prefetchers will use.
+        # opened), and size the windows the tile order follows.
         from repro.core import prefetch as _pf
 
         _, window_rows = _pf.plan_windows(
@@ -831,9 +831,8 @@ def run_engine(
 
             todo = _pf.order_panel_major(todo, window_rows)
         n_skipped = len(tiles) - len(todo)
-        #: Round-scoped prefetchers (out-of-core, budgeted runs only).
-        pull_prefetcher = None
-        warm_reader = None
+        #: Round-scoped prefetcher (budgeted serial/threads runs only).
+        prefetcher = None
         n_computed = 0
         quarantined: list[tuple[TileTask, str]] = []
         done_keys: set[tuple[int, int]] = set()
@@ -908,8 +907,6 @@ def run_engine(
                     manifest.record(tile)
             n_computed += 1
             done_keys.add(tile.key)
-            if warm_reader is not None:
-                warm_reader.advance()
             if recorder is not None:
                 deliver_seconds = time.perf_counter() - deliver_start
                 recorder.inc("engine.tiles_computed")
@@ -955,7 +952,6 @@ def run_engine(
         ctx = _ex.RetryContext(
             max_retries=max_retries,
             tile_timeout=tile_timeout,
-            backoff_base=retry_backoff,
             allow_quarantine=allow_quarantine,
             deliver=deliver,
             quarantine=quarantine_tile,
@@ -968,16 +964,17 @@ def run_engine(
             # only when the loader has not stayed ahead); everything
             # else reads the in-RAM or memmapped words directly.
             # Acquired before the runner starts the compute clock, so
-            # stall time never masquerades as tile compute time.
-            prefetcher = pull_prefetcher
-            source = words if prefetcher is None else prefetcher.acquire(tile)
+            # stall time never masquerades as tile compute time. A
+            # failed window read raises here and fails this tile.
+            pf = prefetcher
+            source = words if pf is None else pf.acquire(tile)
             try:
                 return _ex.run_tile(
                     config, source, freqs, matrix.n_samples, tile, epoch
                 )
             finally:
-                if prefetcher is not None:
-                    prefetcher.release(tile)
+                if pf is not None:
+                    pf.release(tile)
 
         def make_backend(
             current: str, work: list[TileTask]
@@ -1010,41 +1007,31 @@ def run_engine(
             return backend, schedule
 
         def start_prefetch(current: str, work: list[TileTask]) -> None:
-            """Stand up the round's prefetcher (budgeted store runs only)."""
-            nonlocal pull_prefetcher, warm_reader
-            if store is None or memory_budget is None or not work:
+            """Stand up the round's prefetcher (budgeted store runs on
+            serial/threads; pool workers map the store by path)."""
+            nonlocal prefetcher
+            if (
+                store is None or memory_budget is None or not work
+                or current == "persistent"
+            ):
                 return
             from repro.core import prefetch as _pf
 
-            if current in ("serial", "threads"):
-                pull_prefetcher = _pf.PanelPrefetcher(
-                    store,
-                    work,
-                    block_snps=block_snps,
-                    memory_budget=memory_budget,
-                    faults=faults,
-                    recorder=recorder,
-                    banded=band_spec is not None,
-                )
-            else:
-                warm_reader = _pf.WarmReader(
-                    store,
-                    work,
-                    block_snps=block_snps,
-                    memory_budget=memory_budget,
-                    faults=faults,
-                    recorder=recorder,
-                    banded=band_spec is not None,
-                )
+            prefetcher = _pf.PanelPrefetcher(
+                store,
+                work,
+                block_snps=block_snps,
+                memory_budget=memory_budget,
+                faults=faults,
+                recorder=recorder,
+                banded=band_spec is not None,
+            )
 
         def stop_prefetch() -> None:
-            nonlocal pull_prefetcher, warm_reader
-            if pull_prefetcher is not None:
-                pull_prefetcher.close()
-                pull_prefetcher = None
-            if warm_reader is not None:
-                warm_reader.close()
-                warm_reader = None
+            nonlocal prefetcher
+            if prefetcher is not None:
+                prefetcher.close()
+                prefetcher = None
 
         retries = 0
         dispatched = 0

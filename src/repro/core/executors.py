@@ -105,7 +105,9 @@ __all__ = [
     "stop_pools",
 ]
 
-#: Ceiling (seconds) of the exponential backoff between retry attempts.
+#: Base and ceiling (seconds) of the exponential backoff between retry
+#: attempts.
+RETRY_BACKOFF_BASE = 0.05
 RETRY_BACKOFF_CAP = 2.0
 
 
@@ -451,13 +453,20 @@ def _largest_first(tiles: list[TileTask]) -> list[TileTask]:
     return sorted(tiles, key=lambda t: (-t.n_pairs, t.i0, t.j0))
 
 
+def _backoff_seconds(key: tuple[int, int], attempt: int) -> float:
+    """Exponential backoff before retry *attempt* (1-based), with
+    deterministic jitter in [0.5, 1.5)x."""
+    base = min(RETRY_BACKOFF_CAP, RETRY_BACKOFF_BASE * 2 ** (attempt - 1))
+    jitter = zlib.crc32(f"{key[0]},{key[1]}|{attempt}".encode()) / 2**32
+    return base * (0.5 + jitter)
+
+
 @dataclass
 class RetryContext:
     """Driver-side policy + callbacks shared by every backend."""
 
     max_retries: int
     tile_timeout: float | None
-    backoff_base: float
     allow_quarantine: bool
     deliver: Callable[[TileTask, TileResult], None]
     quarantine: Callable[[TileTask, BaseException], None]
@@ -474,14 +483,6 @@ class RetryContext:
                 f"(worker {result.checksum:#010x}, driver {actual:#010x}); "
                 "payload corrupted in transit"
             )
-
-    def backoff_seconds(self, key: tuple[int, int], attempt: int) -> float:
-        """Exponential backoff with deterministic jitter in [0.5, 1.5)x."""
-        if self.backoff_base <= 0.0 or attempt < 1:
-            return 0.0
-        base = min(RETRY_BACKOFF_CAP, self.backoff_base * 2 ** (attempt - 1))
-        jitter = zlib.crc32(f"{key[0]},{key[1]}|{attempt}".encode()) / 2**32
-        return base * (0.5 + jitter)
 
     def note_failure(self, tile: TileTask, error: BaseException) -> None:
         if self.recorder is None:
@@ -1362,7 +1363,7 @@ def drive(
                 pending.discard(tile)
                 return
             raise error
-        delay = ctx.backoff_seconds(tile.key, attempts[tile])
+        delay = _backoff_seconds(tile.key, attempts[tile])
         if delay > 0:
             with span("driver.backoff"):
                 time.sleep(delay)

@@ -10,24 +10,28 @@ GEMM computes against the current one — double buffering that hides disk
 latency behind compute, with any residual exposed I/O measured as stall
 time instead of silently inflating "compute".
 
-Two cooperation modes, matching how the executors acquire their inputs:
+:class:`PanelPrefetcher` feeds the serial and threads engines. Windows
+are explicit driver-RAM buffers under a hard byte budget. Consumers
+``acquire(tile)`` an atomic view over the tile's A/B windows (blocking —
+and recording ``io.wait`` stall time — only when the loader has not
+stayed ahead) and ``release(tile)`` when done; eviction prefers
+fully-consumed windows, so the budget is a real ceiling on resident
+panel bytes (``peak_resident_bytes`` proves it). Process-pool workers
+map the store by path instead, so on the persistent engine the budget
+only orders tiles panel-major.
 
-- **Pull mode** (:class:`PanelPrefetcher`, used by the serial and threads
-  engines): windows are explicit driver-RAM buffers under a hard byte
-  budget. Workers ``acquire(tile)`` an atomic view over the tile's A/B
-  windows (blocking — and recording ``io.wait`` stall time — only when
-  the loader has not stayed ahead) and ``release(tile)`` when done;
-  eviction prefers fully-consumed windows, so the budget is a real
-  ceiling on resident panel bytes (``peak_resident_bytes`` proves it).
-- **Warm mode** (:class:`WarmReader`, used by the persistent engine):
-  each worker maps the store read-only by path, so there is no
-  driver-RAM window to manage — the prefetch thread instead reads
-  windows sequentially ahead of the delivery frontier into one scratch
-  buffer, priming the page cache the workers' memmaps will hit.
+As in those staged-read pipelines, a read's failure is charged to the
+work it feeds: a failed window read frees the window's reserved bytes,
+the loader moves on, and an ``acquire`` whose own read fails raises the
+error to its tile, which the engine's dispatch loop retries or
+quarantines like any other tile failure. The ``prefetch`` fault site's
+attempt number is the window's count of failed reads, so a plan fires
+the same way whichever thread reads.
 
-Both modes record ``io.prefetch`` spans around every disk read plus
-``prefetch.bytes_read`` / ``prefetch.stall_seconds`` metrics, which the
-roofline report uses to flag I/O-bound runs.
+Every disk read records an ``io.prefetch`` span and
+``prefetch.bytes_read``; consumer stalls record ``io.wait`` and
+``prefetch.stall_seconds``, which the run report uses to flag I/O-bound
+runs.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.engine import TileTask
-from repro.faults import FaultPlan, InjectedFault
+from repro.faults import FaultPlan
 from repro.observe.spans import span
 
 if TYPE_CHECKING:
@@ -50,7 +54,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PanelPrefetcher",
     "PanelWindow",
-    "WarmReader",
     "min_memory_budget",
     "order_panel_major",
     "plan_windows",
@@ -59,16 +62,13 @@ __all__ = [
 #: Windows the planner aims to keep resident at once: the A/B pair under
 #: compute plus the double-buffered next pair.
 _TARGET_RESIDENT = 4
-#: Pull mode needs the current A/B pair plus one window in flight.
+#: A dense sweep needs the current A/B pair plus one window in flight.
 _MIN_RESIDENT = 3
 #: A banded sweep only touches window pairs that meet the band, so its
 #: frontier never strays far from the diagonal: the A/B pair alone is
 #: enough to make progress (the next load stages as soon as either is
 #: released; an occasional reload of a hot window is counted, not fatal).
 _MIN_RESIDENT_BANDED = 2
-#: Transient prefetch faults retried before the load is declared dead
-#: (deterministic plans use ``attempts_below`` to stop firing earlier).
-_MAX_LOAD_ATTEMPTS = 16
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class PanelWindow:
 def min_memory_budget(
     block_snps: int, row_nbytes: int, *, banded: bool = False
 ) -> int:
-    """Smallest workable pull-mode budget for the given geometry.
+    """Smallest workable prefetch budget for the given geometry.
 
     Banded sweeps get a lower floor (two resident windows instead of
     three): their window-pair frontier hugs the diagonal, so the next
@@ -193,7 +193,7 @@ class _PanelView:
 
 
 class PanelPrefetcher:
-    """Pull-mode double buffering: budgeted windows + a loader thread.
+    """Double buffering: budgeted windows + a loader thread.
 
     The loader walks the panel-major tile order at most one window pair
     ahead of the consumers' ``acquire`` frontier, reading windows from
@@ -208,6 +208,12 @@ class PanelPrefetcher:
     windows or none, so every blocked thread holds zero references and
     eviction can always make progress; the budget floor of three windows
     guarantees an A/B pair plus one load in flight always fit.
+
+    A failed read holds nothing: the window's reserved bytes are freed,
+    the loader skips it, and a consumer that needs it reads it inline —
+    raising the read's error from ``acquire`` if that read fails too.
+    Each failure bumps the window's failed-read count, the attempt
+    number of the ``prefetch`` fault site.
     """
 
     def __init__(
@@ -248,6 +254,7 @@ class PanelPrefetcher:
         for tile in self.order:
             for w in self._tile_windows(tile):
                 self._uses[w] += 1
+        self._failed_reads = [0] * len(self.windows)
         self._touched: set[int] = set()
         self._wanted: dict[int, int] = {}
         #: Blocked acquirers by panel-major order index -> needed windows.
@@ -261,7 +268,6 @@ class PanelPrefetcher:
         self._acquired = 0
         self._resident_bytes = 0
         self._closed = False
-        self._error: BaseException | None = None
 
         self.peak_resident_bytes = 0
         self.bytes_read = 0
@@ -279,12 +285,13 @@ class PanelPrefetcher:
         """Block until both of *tile*'s windows are resident; pin and view.
 
         All-or-nothing: references on the A and B windows are taken under
-        one lock pass, never one without the other.
+        one lock pass, never one without the other. A window read that
+        fails here raises its error, and no reference is held.
         """
         needed = self._tile_windows(tile)
         order_idx = self._order_index.get(tile.key)
         with self._cond:
-            self._raise_if_dead()
+            self._raise_if_closed()
             self._acquired += 1
             self._cond.notify_all()
             if all(w in self._buffers for w in needed):
@@ -300,7 +307,7 @@ class PanelPrefetcher:
                     for w in needed:
                         self._ensure_resident(w, prefetch=False)
                     with self._cond:
-                        self._raise_if_dead()
+                        self._raise_if_closed()
                         if all(w in self._buffers for w in needed):
                             return self._pin(needed)
         finally:
@@ -349,9 +356,7 @@ class PanelPrefetcher:
         wj = tile.j0 // self._window_rows
         return (wi,) if wi == wj else (wi, wj)
 
-    def _raise_if_dead(self) -> None:
-        if self._error is not None:
-            raise RuntimeError("panel prefetcher failed") from self._error
+    def _raise_if_closed(self) -> None:
         if self._closed:
             raise RuntimeError("panel prefetcher is closed")
 
@@ -441,13 +446,14 @@ class PanelPrefetcher:
         """Load window *w* unless already resident (or being loaded).
 
         In prefetch mode the loader never waits on another thread's load
-        and never evicts the double buffer; in inline mode the consumer
-        waits for whatever space or load it needs.
+        and never evicts the double buffer, and a failed read only frees
+        the reservation; in inline mode the consumer waits for whatever
+        space or load it needs, and a failed read raises.
         """
         nbytes = self._window_nbytes(w)
         while True:
             with self._cond:
-                if self._closed or self._error is not None:
+                if self._closed:
                     return
                 if w in self._buffers:
                     self._clock += 1
@@ -471,18 +477,17 @@ class PanelPrefetcher:
                     self.peak_resident_bytes = max(
                         self.peak_resident_bytes, self._resident_bytes
                     )
+                    attempt = self._failed_reads[w]
                     break
                 self._cond.wait(0.1)
-        window = self.windows[w]
         try:
-            data = self._read_window(window)
-        except BaseException as exc:
+            data = self._read_window(self.windows[w], attempt)
+        except Exception:
             with self._cond:
                 self._loading.discard(w)
+                self._failed_reads[w] += 1
                 if not self._closed:
                     self._resident_bytes -= nbytes
-                if self._error is None:
-                    self._error = exc
                 self._cond.notify_all()
             if not prefetch:
                 raise
@@ -500,163 +505,31 @@ class PanelPrefetcher:
             self._lru[w] = self._clock
             self._cond.notify_all()
 
-    def _read_window(self, window: PanelWindow) -> np.ndarray:
+    def _read_window(self, window: PanelWindow, attempt: int) -> np.ndarray:
         """One disk read, with the ``prefetch`` fault site applied.
 
-        An injected :class:`InjectedFault` is retried (fresh attempt
-        number, so deterministic plans converge); a ``delay`` action
+        *attempt* is the window's failed-read count; a ``delay`` action
         sleeps inside ``fire`` and simply surfaces as prefetch latency.
         """
-        key = (window.start, window.stop)
-        attempt = 0
-        while True:
-            try:
-                if self._faults is not None:
-                    self._faults.fire("prefetch", key, attempt)
-                with span("io.prefetch"):
-                    data = self._store.read_rows(window.start, window.stop)
-                break
-            except InjectedFault:
-                attempt += 1
-                if attempt >= _MAX_LOAD_ATTEMPTS:
-                    raise
+        if self._faults is not None:
+            self._faults.fire("prefetch", (window.start, window.stop), attempt)
+        with span("io.prefetch"):
+            data = self._store.read_rows(window.start, window.stop)
         self.bytes_read += data.nbytes
         if self._recorder is not None:
             self._recorder.inc("prefetch.bytes_read", int(data.nbytes))
         return data
 
     def _loader_main(self) -> None:
-        try:
-            for index, tile in enumerate(self.order):
-                with self._cond:
-                    while (
-                        not self._closed
-                        and self._error is None
-                        and index > self._acquired + self._ahead_tiles
-                    ):
-                        self._cond.wait(0.1)
-                    if self._closed or self._error is not None:
-                        return
-                for w in self._tile_windows(tile):
-                    self._ensure_resident(w, prefetch=True)
-                    with self._cond:
-                        if self._closed or self._error is not None:
-                            return
-        except BaseException as exc:  # pragma: no cover - defensive
+        for index, tile in enumerate(self.order):
             with self._cond:
-                if self._error is None:
-                    self._error = exc
-                self._cond.notify_all()
+                while (
+                    not self._closed
+                    and index > self._acquired + self._ahead_tiles
+                ):
+                    self._cond.wait(0.1)
+                if self._closed:
+                    return
+            for w in self._tile_windows(tile):
+                self._ensure_resident(w, prefetch=True)
 
-
-class WarmReader:
-    """Warm-mode prefetch: prime the page cache ahead of pool workers.
-
-    Process-pool workers map the store by path, so the OS page cache is
-    the shared buffer; this thread reads windows sequentially (into one
-    reused scratch buffer) at most one window pair ahead of the delivery
-    frontier, which the driver advances via :meth:`advance` from its
-    deliver hook. Reads record ``io.prefetch`` spans and
-    ``prefetch.bytes_read``, so the profile attributes warm-mode I/O the
-    same way pull-mode loads are attributed.
-    """
-
-    def __init__(
-        self,
-        store: "PanelStore",
-        tiles: list[TileTask],
-        *,
-        block_snps: int,
-        memory_budget: int,
-        faults: FaultPlan | None = None,
-        recorder: "MetricsRecorder | None" = None,
-        banded: bool = False,
-    ) -> None:
-        self._store = store
-        self._faults = faults
-        self._recorder = recorder
-        self.windows, self._window_rows = plan_windows(
-            store.n_snps,
-            block_snps,
-            row_nbytes=store.row_nbytes,
-            memory_budget=memory_budget,
-            banded=banded,
-        )
-        self.order = order_panel_major(tiles, self._window_rows)
-        blocks_per_window = max(1, self._window_rows // block_snps)
-        self._ahead_tiles = blocks_per_window * blocks_per_window
-        self._cond = threading.Condition()
-        self._delivered = 0
-        self._closed = False
-        self.bytes_read = 0
-        self.stall_seconds = 0.0
-        max_rows = max((w.rows for w in self.windows), default=0)
-        self._scratch = np.empty((max_rows, store.n_words), dtype=np.uint64)
-        self._thread = threading.Thread(
-            target=self._main, name="repro-warm-prefetch", daemon=True
-        )
-        self._thread.start()
-
-    def advance(self, count: int = 1) -> None:
-        """Move the delivery frontier forward by *count* tiles."""
-        with self._cond:
-            self._delivered += count
-            self._cond.notify_all()
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "WarmReader":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _main(self) -> None:
-        warmed: set[int] = set()
-        try:
-            for index, tile in enumerate(self.order):
-                with self._cond:
-                    while (
-                        not self._closed
-                        and index > self._delivered + self._ahead_tiles
-                    ):
-                        self._cond.wait(0.1)
-                    if self._closed:
-                        return
-                wi = tile.i0 // self._window_rows
-                wj = tile.j0 // self._window_rows
-                for w in (wi,) if wi == wj else (wi, wj):
-                    if w in warmed:
-                        continue
-                    window = self.windows[w]
-                    attempt = 0
-                    while True:
-                        try:
-                            if self._faults is not None:
-                                self._faults.fire(
-                                    "prefetch",
-                                    (window.start, window.stop),
-                                    attempt,
-                                )
-                            with span("io.prefetch"):
-                                self._store.read_rows(
-                                    window.start,
-                                    window.stop,
-                                    out=self._scratch,
-                                )
-                            break
-                        except InjectedFault:
-                            attempt += 1
-                            if attempt >= _MAX_LOAD_ATTEMPTS:
-                                raise
-                    warmed.add(w)
-                    nbytes = window.rows * self._store.row_nbytes
-                    self.bytes_read += nbytes
-                    if self._recorder is not None:
-                        self._recorder.inc("prefetch.bytes_read", nbytes)
-        except BaseException:  # pragma: no cover - cache warming is advisory
-            return

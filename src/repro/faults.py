@@ -6,7 +6,7 @@ crashes, hung processes, torn manifest appends, bit-flipped tile
 payloads — are exactly the ones ad-hoc tests cannot reproduce on
 demand. This module makes them reproducible: a :class:`FaultPlan` is a
 seeded schedule of :class:`FaultSpec` entries that the execution layers
-consult at four sites:
+consult at five sites:
 
 ========================  ==================================================
 site                      where the hook runs
@@ -15,6 +15,11 @@ site                      where the hook runs
 ``tile_deliver``          in the worker, after compute (transport boundary)
 ``manifest_append``       in the driver, before journaling a tile
 ``pool_spawn``            in the driver, when (re)building a process pool
+``prefetch``              in the driver, before an out-of-core panel-window
+                          read (key: the window's ``(start, stop)`` rows);
+                          a failed read fails the tile that needed the
+                          window, and the attempt number is the window's
+                          count of failed reads
 ========================  ==================================================
 
 Every decision is a pure function of ``(seed, spec, site, tile key,
@@ -80,8 +85,9 @@ _SITE_ACTIONS = {
     "tile_deliver": ("raise", "delay", "bitflip"),
     "manifest_append": ("raise", "delay", "torn"),
     "pool_spawn": ("raise", "delay"),
-    # A disk read can fail transiently (raise → retried) or run slow
-    # (delay → surfaces as prefetch stall time in the roofline report).
+    # A disk read can fail transiently (raise → its tile is retried) or
+    # run slow (delay → surfaces as prefetch stall time in the roofline
+    # report).
     "prefetch": ("raise", "delay"),
 }
 
@@ -118,7 +124,9 @@ class FaultSpec:
         knob that keeps a schedule *within the retry budget*: with
         ``attempts_below <= max_retries`` every injected failure is
         eventually retried past, so the run must still finish
-        bit-identically.
+        bit-identically. At the ``prefetch`` site the bound is per
+        window, not per tile: a tile that needs two windows can be
+        charged for the failed reads of both.
     delay_seconds:
         Sleep length for ``delay`` actions.
     """

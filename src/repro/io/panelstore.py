@@ -116,10 +116,8 @@ class PanelStore:
         """
         return BitMatrix.from_packed_trusted(self.words, self.n_samples)
 
-    def read_rows(
-        self, start: int, stop: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Copy rows ``[start, stop)`` from disk into RAM (or *out*).
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        """Copy rows ``[start, stop)`` from disk into RAM.
 
         This is the prefetcher's read primitive: an explicit copy, so the
         returned window is ordinary anonymous memory whose lifetime the
@@ -129,12 +127,7 @@ class PanelStore:
             raise ValueError(
                 f"row range [{start}, {stop}) outside panel of {self.n_snps}"
             )
-        if out is None:
-            return np.array(self.words[start:stop], dtype=np.uint64)
-        rows = stop - start
-        view = out[:rows]
-        np.copyto(view, self.words[start:stop])
-        return view
+        return np.array(self.words[start:stop], dtype=np.uint64)
 
     def verify(self) -> bool:
         """Re-read the store against what was packed (full read).

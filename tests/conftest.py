@@ -19,6 +19,14 @@ def _isolated_run_registry(tmp_path, monkeypatch) -> None:
 
 
 @pytest.fixture
+def instant_retries(monkeypatch) -> None:
+    """Retry failed tiles at once: zero the engine's backoff base."""
+    from repro.core import executors
+
+    monkeypatch.setattr(executors, "RETRY_BACKOFF_BASE", 0.0)
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic per-test random generator."""
     return np.random.default_rng(0xC0FFEE)

@@ -330,6 +330,7 @@ class TestBandedOutOfCore:
 
 
 class TestBandedResume:
+    @pytest.mark.usefixtures("instant_retries")
     def test_torn_manifest_then_resume_is_bit_identical(
         self, packed, dense_band, tmp_path
     ):
@@ -341,8 +342,7 @@ class TestBandedResume:
         with pytest.raises(InjectedCrash):
             with BandedNpySink(out, N_SNPS, WINDOW) as sink:
                 run_engine(packed, sink, engine="serial", block_snps=BLOCK,
-                           band=WINDOW, manifest_path=manifest, faults=plan,
-                           retry_backoff=0.0)
+                           band=WINDOW, manifest_path=manifest, faults=plan)
         with BandedNpySink(out, N_SNPS, WINDOW, mode="r+") as sink:
             report = run_engine(packed, sink, engine="serial",
                                 block_snps=BLOCK, band=WINDOW,
@@ -351,6 +351,7 @@ class TestBandedResume:
         assert report.n_skipped > 0
         np.testing.assert_array_equal(np.load(out), dense_band)
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_kill_mid_run_then_resume_on_processes(
         self, packed, dense_band, tmp_path
     ):
@@ -364,8 +365,7 @@ class TestBandedResume:
                 with BandedNpySink(out, N_SNPS, WINDOW) as sink:
                     run_engine(packed, sink, engine="persistent", n_workers=2,
                                block_snps=BLOCK, band=WINDOW,
-                               manifest_path=manifest, faults=plan,
-                               retry_backoff=0.0)
+                               manifest_path=manifest, faults=plan)
             with BandedNpySink(out, N_SNPS, WINDOW, mode="r+") as sink:
                 report = run_engine(packed, sink, engine="persistent",
                                     n_workers=2, block_snps=BLOCK,

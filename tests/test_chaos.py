@@ -158,7 +158,7 @@ def _run_until_complete(panel, out, manifest, plan, *, engine, n) -> int:
                 report = run_engine(
                     panel, sink, engine=engine, block_snps=7, n_workers=2,
                     manifest_path=manifest, resume=(mode == "r+"),
-                    max_retries=MAX_RETRIES, retry_backoff=0.0,
+                    max_retries=MAX_RETRIES,
                     faults=faults,
                 )
             assert report.complete
@@ -169,6 +169,7 @@ def _run_until_complete(panel, out, manifest, plan, *, engine, n) -> int:
             faults = None
 
 
+@pytest.mark.usefixtures("instant_retries")
 class TestChaosSchedules:
     @pytest.mark.parametrize("seed", range(N_SCHEDULES))
     def test_serial_schedule_is_bit_identical(
@@ -226,6 +227,7 @@ class TestPersistentChaos:
         stop_pools()
 
     @pytest.mark.parametrize("seed", [301, 302, 303])
+    @pytest.mark.usefixtures("instant_retries")
     def test_persistent_schedule_with_kills_is_bit_identical(
         self, chaos_panel, clean_matrix, tmp_path, seed
     ):
@@ -240,6 +242,7 @@ class TestPersistentChaos:
         )
         np.testing.assert_array_equal(np.load(out), clean_matrix)
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_kill_mid_batch_respawns_worker_not_pool(
         self, chaos_panel, clean_matrix, tmp_path
     ):
@@ -254,7 +257,7 @@ class TestPersistentChaos:
         with NpyMemmapSink(out, n) as sink:
             report = run_engine(
                 chaos_panel, sink, engine="persistent", block_snps=7,
-                n_workers=2, max_retries=MAX_RETRIES, retry_backoff=0.0,
+                n_workers=2, max_retries=MAX_RETRIES,
                 faults=plan, recorder=recorder,
             )
         assert report.complete and not report.degraded
@@ -265,6 +268,7 @@ class TestPersistentChaos:
         assert report.n_pool_spawns == 1
         np.testing.assert_array_equal(np.load(out), clean_matrix)
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_kill_charges_only_the_tiles_the_worker_held(self, tmp_path):
         """A worker holds at most two tiles, so a SIGKILL costs at most
         two retries, and the matrix is a clean run's."""
@@ -281,13 +285,14 @@ class TestPersistentChaos:
         with NpyMemmapSink(out, 256) as sink:
             report = run_engine(
                 panel, sink, engine="persistent", block_snps=32,
-                n_workers=2, max_retries=MAX_RETRIES, retry_backoff=0.0,
+                n_workers=2, max_retries=MAX_RETRIES,
                 faults=plan,
             )
         assert report.complete and report.n_worker_respawns == 1
         assert 1 <= report.n_retries <= 2
         np.testing.assert_array_equal(np.load(out), np.load(clean))
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_kill_mid_batch_surfaces_in_live_snapshot(
         self, chaos_panel, clean_matrix, tmp_path
     ):
@@ -314,7 +319,7 @@ class TestPersistentChaos:
         with NpyMemmapSink(out, n) as sink:
             report = run_engine(
                 chaos_panel, sink, engine="persistent", block_snps=7,
-                n_workers=2, max_retries=MAX_RETRIES, retry_backoff=0.0,
+                n_workers=2, max_retries=MAX_RETRIES,
                 faults=plan, recorder=recorder,
             )
         assert report.complete and report.n_worker_respawns >= 1
@@ -372,6 +377,7 @@ class TestPersistentChaos:
         assert "engine.pool_restarts" not in recorder.counters
         np.testing.assert_array_equal(np.load(second), clean_matrix)
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_quarantine_is_journaled_for_persistent_workers(
         self, chaos_panel, tmp_path
     ):
@@ -382,7 +388,7 @@ class TestPersistentChaos:
         recorder = MetricsRecorder(keep_events=True)
         report = run_engine(
             chaos_panel, lambda *a: None, engine="persistent",
-            block_snps=7, n_workers=2, max_retries=1, retry_backoff=0.0,
+            block_snps=7, n_workers=2, max_retries=1,
             allow_quarantine=True, faults=plan, manifest_path=manifest,
             recorder=recorder,
         )

@@ -193,6 +193,7 @@ class TestRetries:
     """
 
     @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.usefixtures("instant_retries")
     def test_transient_failures_are_retried(self, panel, engine):
         plan = FaultPlan(seed=11, specs=(
             FaultSpec(site="tile_compute", tile=(10, 10), attempts_below=2),
@@ -201,7 +202,7 @@ class TestRetries:
         recorder = MetricsRecorder(keep_events=True)
         report = run_engine(
             panel, sink, engine=engine, block_snps=10, n_workers=2,
-            max_retries=2, retry_backoff=0.0, faults=plan, recorder=recorder,
+            max_retries=2, faults=plan, recorder=recorder,
         )
         assert report.n_retries == 2
         assert report.n_computed == report.n_tiles
@@ -221,6 +222,7 @@ class TestRetries:
         )
 
     @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.usefixtures("instant_retries")
     def test_persistent_failure_raises_after_retries(self, panel, engine):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_compute", tile=(0, 0)),
@@ -229,7 +231,7 @@ class TestRetries:
             run_engine(
                 panel, _AssemblingSink(panel.shape[1]), engine=engine,
                 block_snps=10, n_workers=2, max_retries=1,
-                retry_backoff=0.0, faults=plan,
+                faults=plan,
             )
 
 
@@ -366,6 +368,7 @@ class TestBatchedDispatch:
         )
 
     @pytest.mark.parametrize("engine", ["threads", "persistent"])
+    @pytest.mark.usefixtures("instant_retries")
     def test_transient_failure_inside_batch_retries_only_that_tile(
         self, panel, engine
     ):
@@ -377,7 +380,7 @@ class TestBatchedDispatch:
         recorder = MetricsRecorder()
         report = run_engine(
             panel, sink, engine=engine, block_snps=10, n_workers=2,
-            max_retries=2, retry_backoff=0.0, faults=plan,
+            max_retries=2, faults=plan,
             recorder=recorder,
         )
         assert report.complete
@@ -389,6 +392,7 @@ class TestBatchedDispatch:
         il = np.tril_indices(n)
         np.testing.assert_array_equal(sink.matrix[il], ld_matrix(panel)[il])
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_persistent_failure_in_batch_raises_original_type(self, panel):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_compute", tile=(0, 0)),
@@ -397,5 +401,5 @@ class TestBatchedDispatch:
             run_engine(
                 panel, _AssemblingSink(panel.shape[1]), engine="persistent",
                 block_snps=10, n_workers=2, max_retries=1,
-                retry_backoff=0.0, faults=plan,
+                faults=plan,
             )

@@ -142,6 +142,7 @@ class TestConformance:
         )
 
     @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.usefixtures("instant_retries")
     def test_retry_count_is_exact(self, engine, panel):
         plan = FaultPlan(seed=3, specs=(
             FaultSpec(site="tile_compute", tile=(9, 9), attempts_below=2),
@@ -149,7 +150,7 @@ class TestConformance:
         recorder = MetricsRecorder(keep_events=True)
         got, report = _assemble(
             panel, engine=engine, block_snps=9, n_workers=2,
-            max_retries=2, retry_backoff=0.0, faults=plan, recorder=recorder,
+            max_retries=2, faults=plan, recorder=recorder,
         )
         assert report.complete
         assert report.n_retries == 2
@@ -162,6 +163,7 @@ class TestConformance:
         np.testing.assert_array_equal(got[tri], expected[tri])
 
     @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.usefixtures("instant_retries")
     def test_arena_crc_catches_bitflip_and_recomputes(self, engine, panel):
         plan = FaultPlan(seed=5, specs=(
             FaultSpec(site="tile_deliver", tile=(18, 9), attempts_below=1,
@@ -170,7 +172,7 @@ class TestConformance:
         recorder = MetricsRecorder(keep_events=True)
         got, report = _assemble(
             panel, engine=engine, block_snps=9, n_workers=2,
-            max_retries=2, retry_backoff=0.0, faults=plan, recorder=recorder,
+            max_retries=2, faults=plan, recorder=recorder,
         )
         assert report.complete
         assert recorder.counters["engine.corruptions"] == 1
@@ -181,6 +183,7 @@ class TestConformance:
         np.testing.assert_array_equal(got[tri], expected[tri])
 
     @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.usefixtures("instant_retries")
     def test_exhausted_retries_raise_original_error(self, engine, panel):
         plan = FaultPlan(seed=1, specs=(
             FaultSpec(site="tile_compute", tile=(0, 0)),
@@ -188,7 +191,7 @@ class TestConformance:
         with pytest.raises(InjectedFault, match="injected raise"):
             run_engine(
                 panel, lambda *a: None, engine=engine, block_snps=9,
-                n_workers=2, max_retries=1, retry_backoff=0.0, faults=plan,
+                n_workers=2, max_retries=1, faults=plan,
             )
 
 
@@ -344,6 +347,7 @@ class TestShmLeaks:
         leaked = _shm_segments() - before
         assert not leaked
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_retry_exhaustion_leaks_no_segments(self, panel):
         before = _shm_segments()
         plan = FaultPlan(seed=1, specs=(
@@ -352,7 +356,7 @@ class TestShmLeaks:
         with pytest.raises(InjectedFault):
             run_engine(
                 panel, lambda *a: None, engine="persistent", block_snps=9,
-                n_workers=2, max_retries=1, retry_backoff=0.0, faults=plan,
+                n_workers=2, max_retries=1, faults=plan,
             )
         stop_pools()  # persistent pools legitimately outlive the run
         leaked = _shm_segments() - before
@@ -397,11 +401,11 @@ class TestWarmPoolSlots:
     """A failing run hands every arena slot back to the warm pool."""
 
     @pytest.mark.parametrize("failure", ["sink_raises", "retries_exhausted"])
+    @pytest.mark.usefixtures("instant_retries")
     def test_failing_runs_leave_every_slot_free(self, panel, failure):
         n_workers = 2
         common = dict(
             engine="persistent", block_snps=9, n_workers=n_workers,
-            retry_backoff=0.0,
         )
         expected, cold = _assemble(panel, **common)
         assert cold.n_pool_spawns == 1

@@ -155,6 +155,7 @@ class TestFaultPlanDecisions:
 
 class TestCorruptionDetection:
     @pytest.mark.parametrize("engine", ["serial", "threads", "persistent"])
+    @pytest.mark.usefixtures("instant_retries")
     def test_bitflip_within_budget_is_recomputed(self, panel, engine):
         plan = FaultPlan(seed=5, specs=(
             FaultSpec(site="tile_deliver", action="bitflip", tile=(8, 8),
@@ -164,7 +165,7 @@ class TestCorruptionDetection:
         recorder = MetricsRecorder(keep_events=True)
         report = run_engine(
             panel, sink, engine=engine, block_snps=8, n_workers=2,
-            max_retries=2, retry_backoff=0.0, faults=plan, recorder=recorder,
+            max_retries=2, faults=plan, recorder=recorder,
         )
         assert report.complete and report.n_quarantined == 0
         assert recorder.counters["engine.corruptions"] == 1
@@ -173,6 +174,7 @@ class TestCorruptionDetection:
             _lower(panel, sink.matrix), _lower(panel, ld_matrix(panel))
         )
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_corruption_beyond_budget_is_never_written(self, panel):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_deliver", action="bitflip", tile=(8, 0)),
@@ -181,7 +183,7 @@ class TestCorruptionDetection:
         recorder = MetricsRecorder(keep_events=True)
         report = run_engine(
             panel, sink, engine="serial", block_snps=8,
-            max_retries=1, retry_backoff=0.0, allow_quarantine=True,
+            max_retries=1, allow_quarantine=True,
             faults=plan, recorder=recorder,
         )
         assert report.n_quarantined == 1
@@ -204,6 +206,7 @@ class TestCorruptionDetection:
         assert recorder.event_count("tile_quarantined") == 1
 
     @pytest.mark.parametrize("entry", ["run_engine", "streaming"])
+    @pytest.mark.usefixtures("instant_retries")
     def test_without_quarantine_corruption_aborts(self, panel, entry):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_deliver", action="bitflip", tile=(8, 0)),
@@ -213,7 +216,7 @@ class TestCorruptionDetection:
             if entry == "run_engine":
                 run_engine(
                     panel, sink, engine="serial", block_snps=8,
-                    max_retries=1, retry_backoff=0.0, faults=plan,
+                    max_retries=1, faults=plan,
                 )
             else:
                 stream_ld_blocks(panel, sink, block_snps=8, faults=plan)
@@ -221,6 +224,7 @@ class TestCorruptionDetection:
 
 
 class TestQuarantineResume:
+    @pytest.mark.usefixtures("instant_retries")
     def test_quarantined_tile_is_retried_on_resume(self, panel, tmp_path):
         manifest = tmp_path / "run.manifest"
         out = tmp_path / "ld.npy"
@@ -231,7 +235,7 @@ class TestQuarantineResume:
         with NpyMemmapSink(out, n) as sink:
             first = run_engine(
                 panel, sink, engine="serial", block_snps=8,
-                manifest_path=manifest, max_retries=1, retry_backoff=0.0,
+                manifest_path=manifest, max_retries=1,
                 allow_quarantine=True, faults=plan,
             )
         assert first.quarantined == ((16, 8),)
@@ -259,6 +263,7 @@ class TestQuarantineResume:
 
 class TestWatchdog:
     @pytest.mark.parametrize("engine", ["serial", "threads"])
+    @pytest.mark.usefixtures("instant_retries")
     def test_slow_tile_times_out_and_retries(self, panel, engine):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_compute", action="delay", tile=(8, 0),
@@ -268,7 +273,7 @@ class TestWatchdog:
         recorder = MetricsRecorder(keep_events=True)
         report = run_engine(
             panel, sink, engine=engine, block_snps=8, n_workers=2,
-            max_retries=2, retry_backoff=0.0, tile_timeout=0.15,
+            max_retries=2, tile_timeout=0.15,
             faults=plan, recorder=recorder,
         )
         assert report.complete
@@ -278,6 +283,7 @@ class TestWatchdog:
             _lower(panel, sink.matrix), _lower(panel, ld_matrix(panel))
         )
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_hung_process_worker_is_killed(self, panel):
         # Cold pool: the single spawn below shows the watchdog replaced
         # the hung worker in place instead of rebuilding the pool.
@@ -290,7 +296,7 @@ class TestWatchdog:
         recorder = MetricsRecorder(keep_events=True)
         report = run_engine(
             panel, sink, engine="persistent", block_snps=8, n_workers=2,
-            max_retries=2, retry_backoff=0.0, tile_timeout=0.5,
+            max_retries=2, tile_timeout=0.5,
             faults=plan, recorder=recorder,
         )
         assert report.complete
@@ -303,6 +309,7 @@ class TestWatchdog:
 
 
 class TestDegradation:
+    @pytest.mark.usefixtures("instant_retries")
     def test_processes_degrade_to_threads_when_pool_cannot_spawn(self, panel):
         # The pool_spawn site fires only when a pool is built, so start
         # cold; the "processes" spelling resolves to the warm pool. This
@@ -316,7 +323,7 @@ class TestDegradation:
         recorder = MetricsRecorder(keep_events=True)
         report = run_engine(
             panel, sink, engine="processes", block_snps=8, n_workers=2,
-            max_retries=1, retry_backoff=0.0, faults=plan, recorder=recorder,
+            max_retries=1, faults=plan, recorder=recorder,
         )
         assert report.complete
         assert report.engine == "persistent"
@@ -331,6 +338,7 @@ class TestDegradation:
             _lower(panel, sink.matrix), _lower(panel, ld_matrix(panel))
         )
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_worker_kill_within_budget_respawns_the_worker(self, panel):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_compute", action="kill", attempts_below=1,
@@ -340,7 +348,7 @@ class TestDegradation:
         recorder = MetricsRecorder(keep_events=True)
         report = run_engine(
             panel, sink, engine="persistent", block_snps=8, n_workers=2,
-            max_retries=2, retry_backoff=0.0, faults=plan, recorder=recorder,
+            max_retries=2, faults=plan, recorder=recorder,
         )
         assert report.complete
         assert not report.degraded
@@ -350,6 +358,7 @@ class TestDegradation:
             _lower(panel, sink.matrix), _lower(panel, ld_matrix(panel))
         )
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_kill_downgrades_to_raise_in_process(self, panel):
         # A kill outside a sacrificeable pool worker must not take the
         # driver down; the serial engine sees it as a retryable raise.
@@ -360,7 +369,7 @@ class TestDegradation:
         sink = _AssemblingSink(panel.shape[1])
         report = run_engine(
             panel, sink, engine="serial", block_snps=8,
-            max_retries=2, retry_backoff=0.0, faults=plan,
+            max_retries=2, faults=plan,
         )
         assert report.complete and report.n_retries == 1
 

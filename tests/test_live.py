@@ -246,6 +246,7 @@ class TestEngineIntegration:
         assert snapshot["tiles"]["skipped"] == snapshot["tiles"]["total"] > 0
         assert snapshot["tiles"]["done"] == 0
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_raising_run_ends_at_failed(self, panel, tmp_path):
         """A run that raises never emits run_end; closing the recorder
         must still take the snapshot out of phase "running"."""
@@ -254,7 +255,7 @@ class TestEngineIntegration:
         with pytest.raises(InjectedFault), rec:
             run_engine(
                 panel, lambda *a: None, engine="serial", block_snps=8,
-                max_retries=1, retry_backoff=0.0, faults=plan, recorder=rec,
+                max_retries=1, faults=plan, recorder=rec,
             )
         snapshot = read_snapshot(pub.path)
         assert snapshot["phase"] == "failed"

@@ -62,8 +62,8 @@ def documented_event_fields() -> dict[str, tuple[set[str], set[str]]]:
 _ENVELOPE = {"kind", "ts"}
 
 
-@pytest.fixture(scope="module")
-def fault_run_events(tmp_path_factory):
+@pytest.fixture
+def fault_run_events(tmp_path_factory, instant_retries):
     """Events of runs that reach every optional field and most kinds.
 
     A banded serial run is cut by a torn journal append, then resumed
@@ -81,7 +81,7 @@ def fault_run_events(tmp_path_factory):
         recorder = MetricsRecorder(keep_events=True, run_id="catalog-run")
         try:
             run_engine(panel, lambda *a: None, block_snps=8,
-                       retry_backoff=0.0, recorder=recorder, **kwargs)
+                       recorder=recorder, **kwargs)
         finally:
             events.extend(recorder.events)
 

@@ -410,6 +410,7 @@ class TestEngineRecorder:
             np.testing.assert_array_equal(plain[key], recorded[key])
 
 
+@pytest.mark.usefixtures("instant_retries")
 class TestFaultEventTrace:
     """Fault-path events must reach both the JSONL trace and the metrics
     payload, so post-mortem artifacts agree with each other."""
@@ -423,7 +424,7 @@ class TestFaultEventTrace:
             report = run_engine(
                 panel, lambda *a: None, block_snps=8, n_workers=2,
                 max_retries=kwargs.pop("max_retries", 2),
-                retry_backoff=0.0, recorder=recorder, **kwargs,
+                recorder=recorder, **kwargs,
             )
         lines = [
             json.loads(line)

@@ -19,14 +19,13 @@ import pytest
 from repro.core.engine import TileTask, enumerate_tiles, run_engine
 from repro.core.prefetch import (
     PanelPrefetcher,
-    WarmReader,
     min_memory_budget,
     order_panel_major,
     plan_windows,
 )
 from repro.core.streaming import NpyMemmapSink, stream_ld_blocks
 from repro.encoding.bitmatrix import BitMatrix
-from repro.faults import FaultPlan, FaultSpec, InjectedCrash
+from repro.faults import FaultPlan, FaultSpec, InjectedCrash, InjectedFault
 from repro.io.panelstore import PANEL_MAGIC, PanelStore, pack_panel
 from repro.observe import MetricsRecorder, SpanProfiler, profiling
 
@@ -89,9 +88,6 @@ class TestPanelStore:
             rows = store.read_rows(10, 74)
             np.testing.assert_array_equal(rows, packed.words[10:74])
             assert rows.base is None or rows.base is not store.words
-            out = np.empty((64, store.n_words), dtype=np.uint64)
-            got = store.read_rows(10, 74, out=out)
-            np.testing.assert_array_equal(got, packed.words[10:74])
 
     def test_digest_is_content_addressed(self, packed, tmp_path):
         with pack_panel(tmp_path / "a.pnl", packed) as a, \
@@ -238,7 +234,14 @@ class TestPrefetcherDirect:
                                 if batch is None:
                                     return
                                 for tile in batch:
-                                    pf.acquire(tile)
+                                    # A failed read fails the acquire;
+                                    # the engine would retry the tile.
+                                    while True:
+                                        try:
+                                            pf.acquire(tile)
+                                            break
+                                        except InjectedFault:
+                                            pass
                                     time.sleep(0.0005)  # compute, pinned
                                     pf.release(tile)
                         except RuntimeError as exc:
@@ -284,25 +287,6 @@ class TestPrefetcherDirect:
             with pytest.raises(RuntimeError, match="closed"):
                 pf.acquire(tiles[0])
 
-    def test_warm_reader_reads_every_window_once(self, store_path):
-        with PanelStore.open(store_path) as store:
-            tiles = enumerate_tiles(store.n_snps, BLOCK)
-            with WarmReader(
-                store,
-                tiles,
-                block_snps=BLOCK,
-                memory_budget=_quarter_budget(store_path),
-            ) as warm:
-                for _ in warm.order:
-                    warm.advance()
-                deadline = 200
-                while warm.bytes_read < store.nbytes and deadline:
-                    deadline -= 1
-                    import time
-
-                    time.sleep(0.01)
-            assert warm.bytes_read == store.nbytes
-
 
 class TestOutOfCoreEngines:
     @pytest.mark.parametrize("engine", ["serial", "threads"])
@@ -323,15 +307,19 @@ class TestOutOfCoreEngines:
     def test_processes_mode_is_bit_identical(
         self, store_path, clean_matrix, tmp_path
     ):
+        """Pool workers map the store themselves: the driver reads no
+        panel window, and the budget only orders the tiles."""
+        recorder = MetricsRecorder()
         out = tmp_path / "ooc.npy"
         with NpyMemmapSink(out, clean_matrix.shape[0]) as sink:
             report = run_engine(
                 str(store_path), sink, engine="persistent", block_snps=BLOCK,
                 n_workers=2, manifest_path=tmp_path / "ooc.manifest",
-                memory_budget=_quarter_budget(store_path),
+                memory_budget=_quarter_budget(store_path), recorder=recorder,
             )
         assert report.complete
         assert not report.degraded
+        assert "prefetch.bytes_read" not in recorder.counters
         np.testing.assert_array_equal(np.load(out), clean_matrix)
 
     def test_store_instance_and_unbudgeted_store_work(
@@ -381,6 +369,92 @@ class TestOutOfCoreEngines:
                 packed, lambda *a: None, block_snps=BLOCK,
                 memory_budget=1 << 20,
             )
+
+
+#: The window every read-failure test breaks: past row 0, and touched by
+#: 11 of the panel's 66 tiles (its own row and column of blocks).
+_BAD_WINDOW = (2 * BLOCK, 3 * BLOCK)
+
+
+def _break_reads(monkeypatch, times: int | None) -> list[int]:
+    """Make ``PanelStore.read_rows`` raise ``OSError`` on
+    ``_BAD_WINDOW`` (*times* times, or always when ``None``); returns
+    the list the failed reads are counted in."""
+    real_read = PanelStore.read_rows
+    failures: list[int] = []
+    lock = threading.Lock()
+
+    def read_rows(store, start, stop):
+        with lock:
+            fail = (start, stop) == _BAD_WINDOW and (
+                times is None or len(failures) < times
+            )
+            if fail:
+                failures.append(start)
+        if fail:
+            raise OSError(f"unreadable panel rows [{start}, {stop})")
+        return real_read(store, start, stop)
+
+    monkeypatch.setattr(PanelStore, "read_rows", read_rows)
+    return failures
+
+
+@pytest.mark.usefixtures("instant_retries")
+class TestReadFailures:
+    """A failed window read fails only the tile that needed the window."""
+
+    @pytest.mark.parametrize("engine", ["serial", "threads"])
+    def test_one_failed_read_costs_at_most_one_retry(
+        self, engine, store_path, clean_matrix, tmp_path, monkeypatch
+    ):
+        failures = _break_reads(monkeypatch, times=1)
+        out = tmp_path / "flaky.npy"
+        with NpyMemmapSink(out, clean_matrix.shape[0]) as sink:
+            report = run_engine(
+                str(store_path), sink, engine=engine, block_snps=BLOCK,
+                n_workers=3, memory_budget=_quarter_budget(store_path),
+            )
+        assert failures == [_BAD_WINDOW[0]]
+        assert report.complete and report.n_quarantined == 0
+        # The loader may absorb the failure; a consumer's failed read
+        # costs its tile one retry.
+        assert report.n_retries <= 1
+        np.testing.assert_array_equal(np.load(out), clean_matrix)
+
+    @pytest.mark.parametrize("engine", ["serial", "threads"])
+    def test_unreadable_window_fails_only_its_tiles(
+        self, engine, store_path, clean_matrix, tmp_path, monkeypatch
+    ):
+        _break_reads(monkeypatch, times=None)
+        n = clean_matrix.shape[0]
+        tiles = enumerate_tiles(n, BLOCK)
+        touching = {
+            t.key for t in tiles if _BAD_WINDOW[0] in (t.i0, t.j0)
+        }
+        assert len(tiles) == 66 and len(touching) == 11
+        common = dict(
+            engine=engine, block_snps=BLOCK, n_workers=3,
+            memory_budget=_quarter_budget(store_path),
+        )
+        out = tmp_path / "holes.npy"
+        with NpyMemmapSink(out, n) as sink:
+            report = run_engine(
+                str(store_path), sink, allow_quarantine=True, **common
+            )
+        assert set(report.quarantined) == touching
+        # Each such tile used its whole retry budget, and no other tile
+        # was charged.
+        assert report.n_retries == 3 * len(touching)
+        got = np.load(out)
+        for t in tiles:
+            if t.key not in touching:
+                np.testing.assert_array_equal(
+                    got[t.i0 : t.i1, t.j0 : t.j1],
+                    clean_matrix[t.i0 : t.i1, t.j0 : t.j1],
+                )
+        with NpyMemmapSink(tmp_path / "dies.npy", n) as sink:
+            with pytest.raises(OSError, match="unreadable panel rows"):
+                run_engine(str(store_path), sink, **common)
 
 
 class TestCrashResume:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import run_engine
+from repro.core.executors import RETRY_BACKOFF_BASE
 from repro.core.gemm import popcount_gemm, popcount_gram
 from repro.core.ldmatrix import ld_matrix
 from repro.core.streaming import NpyMemmapSink
@@ -270,6 +271,7 @@ class TestEngineSpans:
         )
         assert not _phases_of(recorder)
 
+    @pytest.mark.usefixtures("instant_retries")
     def test_spans_compose_with_faults_and_batched_dispatch(self, panel):
         # Satellite: spans must survive fault injection (retries, backoff)
         # and pool dispatch without losing attribution or correctness.
@@ -283,7 +285,7 @@ class TestEngineSpans:
             report = run_engine(
                 panel, lambda i, j, b: blocks.__setitem__((i, j), b.copy()),
                 engine="threads", block_snps=8, n_workers=2,
-                max_retries=2, retry_backoff=0.0, faults=plan,
+                max_retries=2, faults=plan,
                 recorder=recorder,
             )
         assert report.complete and report.n_retries == 1
@@ -300,3 +302,21 @@ class TestEngineSpans:
             np.testing.assert_array_equal(
                 block, expected[i:i + block.shape[0], j:j + block.shape[1]]
             )
+
+    def test_retry_sleeps_under_a_backoff_span(self, panel):
+        """At the default base, the wait before a retry is one
+        ``driver.backoff`` span of at least half the base (the jitter's
+        floor)."""
+        plan = FaultPlan(seed=11, specs=(
+            FaultSpec(site="tile_compute", tile=(8, 0), attempts_below=1),
+        ))
+        profiler = SpanProfiler()
+        with profiling(profiler):
+            report = run_engine(
+                panel, lambda *a: None, engine="serial", block_snps=8,
+                faults=plan,
+            )
+        assert report.complete and report.n_retries == 1
+        backoff = profiler.totals()["driver.backoff"]
+        assert backoff["count"] == 1
+        assert backoff["seconds"] >= 0.5 * RETRY_BACKOFF_BASE > 0
