@@ -40,6 +40,7 @@ from repro.core.banding import BandSpec
 from repro.core.engine import ENGINE_ALIASES, ENGINES, run_engine
 from repro.faults import FaultPlan
 from repro.core.ldmatrix import ld_matrix
+from repro.core.prefetch import plan_windows
 from repro.core.streaming import BandedNpySink, NpyMemmapSink
 from repro.observe import (
     JsonlTraceSink,
@@ -214,6 +215,16 @@ def _cmd_ld_engine(
     if args.stat not in ("r2", "D", "H"):
         raise SystemExit(f"--engine supports --stat r2/D/H, not {args.stat!r}")
     band = _resolve_band(args, positions)
+    if memory_budget is not None:
+        # A budget below the window floor fails here, before any output
+        # file exists, not as a traceback out of run_engine.
+        try:
+            plan_windows(
+                panel.n_snps, args.block_snps, row_nbytes=data.row_nbytes,
+                memory_budget=memory_budget, banded=band is not None,
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc))
     manifest = Path(args.manifest) if args.manifest else Path(f"{out}.manifest")
     mode = "r+" if args.resume and out.exists() else "w+"
     max_retries = 2 if args.max_retries is None else args.max_retries

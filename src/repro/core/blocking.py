@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "BlockingParams",
-    "CARRIER_COST_RATIO",
+    "CARRIER_ASSEMBLY_COST",
+    "CARRIER_LOOKUP_COST",
     "DEFAULT_BLOCKING",
     "FUSED_BLOCKING",
     "MICRO_BLOCKING",
@@ -149,18 +150,44 @@ MICRO_BLOCKING = BlockingParams(mc=256, nc=2048, kc=256, mr=8, nr=8)
 #: benchmarks/BENCH_gemm.json).
 FUSED_BLOCKING = BlockingParams(mc=2048, nc=4096, kc=64, mr=8, nr=8)
 
-#: Cost of one carrier lookup, in fused-GEMM bit products: the price the
-#: carrier path (:mod:`repro.core.carriers`) pays per partner SNP for each
-#: minor-allele carrier of a rare SNP — and per cell for each element
-#: operation that assembles a split tile — where the fused kernel pays one
-#: bit product per sample. Measured at Dataset B's 512² tiles on a 2-vCPU
-#: AVX-512 Xeon guest (numpy 2.4, scipy-openblas on one thread): a lookup
-#: (byte gather, shift, mask, rank-wise sum) costs 2.6–3.3 ns, a bit
-#: product 0.025–0.029 ns while the host's sgemm ran at 70–80 GFLOP/s and
-#: ~0.0095 ns at the 211 GFLOP/s the same guest reached earlier — a ratio
-#: of ~90–350 depending on the host's regime. 600 stays above the fast end,
-#: so a panel splits only where the split pays even when sgemm is fast:
-#: Dataset A (2,504 samples), where a split measured no gain at the fast
-#: rate, stays on the plain GEMM; Dataset B (10,000) splits at t = 16, at
-#: 1.5–1.7× per tile on this guest.
-CARRIER_COST_RATIO = 600
+#: Price of one carrier lookup, in fused-GEMM bit products: the carrier
+#: path (:mod:`repro.core.carriers`) reads one partner's bit at one
+#: minor-allele carrier of a rare SNP (byte gather, shift, mask, rank-wise
+#: sum), where the fused kernel pays one bit product per padded sample,
+#: ``N_bits = 64·⌈N/64⌉`` per SNP pair.
+#: :func:`repro.core.carriers.rare_threshold` splits at the marginal
+#: crossover ``t = ⌊N_bits / CARRIER_LOOKUP_COST⌋``.
+#:
+#: Measured on a 2-vCPU AVX-512 Xeon guest (numpy 2.4, scipy-openblas on
+#: one thread), with one-thread sgemm probed at Dataset A's bit-plane
+#: shape (512 × 2,560 × 512). Per-tile sweeps, r² on 12 sampled
+#: off-diagonal 512² tiles, mean of each tile's best of 3 interleaved
+#: passes, bit-identical at every t:
+#:
+#: - Dataset A (2,504 samples), sgemm at 150–154 GFLOP/s: 14.02 ms plain;
+#:   9.20 / 8.60 / 8.33 / 8.39 / 8.47 / 8.32 / 8.22 / 8.64 / 9.12 ms at
+#:   t = 8 / 12 / 16 / 17 / 20 / 25 / 32 / 48 / 64.
+#: - Dataset B (10,000 samples), sgemm at 107–152 GFLOP/s: 48.34 ms plain;
+#:   26.21 / 22.80 / 21.24 / 20.82 / 20.82 / 20.99 / 20.78 / 20.69 /
+#:   21.97 / 23.68 ms at t = 16 / 32 / 48 / 64 / 66 / 83 / 100 / 128 /
+#:   192 / 256.
+#:
+#: Both curves are flat near their optimum. Inside those tiles a lookup
+#: took 1.6–1.9 ns at the chosen t (2.8 ns at t = 4–16, where few SNPs
+#: share a carrier rank) and a bit product 17.8–21.4 ps in a full tile's
+#: GEMM: ~90 bit products. The lookup is memory-bound and keeps its
+#: nanoseconds while a bit product's price follows the sgemm rate, so
+#: scaled to the 211 GFLOP/s this guest reached earlier a lookup would
+#: cost ~150. It is priced at that fast end, so the rule should not split
+#: past a fast host's crossover (the fast regime did not recur during the
+#: sweeps, so that end is not measured); on the host above, its
+#: thresholds (A at t = 17, B at t = 66) read 2.1 % and 0.6 % above each
+#: sweep's best point, and 3.4 % and 1.7 % in a repeat sweep.
+CARRIER_LOOKUP_COST = 150
+
+#: Price of assembling a split tile, per cell, in fused-GEMM bit products:
+#: the memory pass that places its GEMM block and carrier sums. It gates
+#: whether a panel splits at all (see ``rare_threshold``). In the sweeps
+#: above it took 1.5–1.9 ns a cell, 0.38–0.50 ms a 512² tile, or ~80–100
+#: bit products.
+CARRIER_ASSEMBLY_COST = 100

@@ -25,8 +25,9 @@ run by :func:`build_carrier_index` and travels with the run's tile
 configuration, so no tile ever rebuilds it.
 
 Whether a panel splits at all, and at which ``t``, follows from its
-sample count and minor-allele counts through one cost ratio,
-:data:`repro.core.blocking.CARRIER_COST_RATIO` (see
+sample count and minor-allele counts through two measured prices,
+:data:`repro.core.blocking.CARRIER_LOOKUP_COST` and
+:data:`repro.core.blocking.CARRIER_ASSEMBLY_COST` (see
 :func:`rare_threshold`).
 """
 
@@ -38,7 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.blocking import CARRIER_COST_RATIO
+from repro.core.blocking import CARRIER_ASSEMBLY_COST, CARRIER_LOOKUP_COST
 from repro.observe.spans import span
 
 if TYPE_CHECKING:  # engine imports this module at its top level
@@ -50,31 +51,31 @@ __all__ = ["CarrierIndex", "build_carrier_index", "rare_threshold"]
 def rare_threshold(n_samples: int, mac: np.ndarray) -> int:
     """The MAC at or below which a SNP goes down the carrier path, or -1.
 
-    With ``R = CARRIER_COST_RATIO``, a carrier lookup costs ``R`` bit
-    products, so a SNP is worth moving when its lookups per partner cost
-    less than the ``N`` bit products the GEMM spends on it:
-    ``t = ⌊N / R⌋``. Splitting a tile costs too: assembling its pieces
-    takes two element operations per cell, priced at ``R`` each. With
-    ``ρ`` the share of SNPs with MAC ≤ t and ``μ`` their mean MAC, an
-    average tile leaves ``ρ(2 − ρ)`` of its cells to the carrier path,
-    each saving ``N_bits = 64·⌈N/64⌉`` bit products and costing ``R·μ``
-    in lookups, so the panel splits only when
+    The GEMM spends ``N_bits = 64·⌈N/64⌉`` bit products on a SNP per
+    partner, and a carrier lookup costs ``L = CARRIER_LOOKUP_COST`` of
+    them, so a SNP pays for its move while its MAC stays at or below the
+    marginal crossover ``t = ⌊N_bits / L⌋``. Splitting a tile also costs
+    one memory pass over its cells to assemble the pieces,
+    ``A = CARRIER_ASSEMBLY_COST`` bit products per cell. With ``ρ`` the
+    share of SNPs with MAC ≤ t and ``μ`` their mean MAC, an average tile
+    leaves ``ρ(2 − ρ)`` of its cells to the carrier path, each saving
+    ``N_bits`` and costing ``L·μ`` in lookups, so the panel splits only
+    when
 
-        ρ(2 − ρ) · N_bits  >  R · (ρ(2 − ρ) · μ + 2).
+        ρ(2 − ρ) · (N_bits − L·μ)  >  A.
 
     Returns -1 (nothing is rare) when it does not.
     """
     mac = np.asarray(mac)
-    t = n_samples // CARRIER_COST_RATIO
+    n_bits = 64 * -(-n_samples // 64)
+    t = n_bits // CARRIER_LOOKUP_COST
     rare = mac <= t
     n_rare = int(np.count_nonzero(rare))
     if n_rare == 0:
         return -1
     rho = n_rare / mac.size
-    moved = rho * (2.0 - rho)
-    mu = float(mac[rare].mean())
-    n_bits = 64 * -(-n_samples // 64)
-    if moved * n_bits <= CARRIER_COST_RATIO * (moved * mu + 2.0):
+    saving = n_bits - CARRIER_LOOKUP_COST * float(mac[rare].mean())
+    if rho * (2.0 - rho) * saving <= CARRIER_ASSEMBLY_COST:
         return -1
     return t
 

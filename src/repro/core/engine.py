@@ -779,13 +779,14 @@ def run_engine(
     # Rare SNPs' minor-allele carriers, gathered once per run; every
     # executor gets them inside the run's TileConfig. A store's SNPs are
     # classified from its stored frequencies and only its rare rows are
-    # read, at most one prefetch window of rows at a time.
+    # read, through the store's read primitive, at most one prefetch
+    # window of rows at a time.
     carriers = None
     if kernel == "fused":
         index = build_carrier_index(
             freqs,
             matrix.n_samples,
-            lambda snps: words[snps],
+            store.read_rows if store is not None else lambda snps: words[snps],
             chunk_rows=window_rows,
             source="panel" if store is None else f"panel store {store.path}",
         )

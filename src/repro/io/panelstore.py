@@ -116,13 +116,26 @@ class PanelStore:
         """
         return BitMatrix.from_packed_trusted(self.words, self.n_samples)
 
-    def read_rows(self, start: int, stop: int) -> np.ndarray:
-        """Copy rows ``[start, stop)`` from disk into RAM.
+    def read_rows(
+        self, start: int | np.ndarray, stop: int | None = None
+    ) -> np.ndarray:
+        """Copy rows ``[start, stop)`` from disk into RAM — or, with *stop*
+        omitted, the rows at *start*, an ascending array of row indices.
 
-        This is the prefetcher's read primitive: an explicit copy, so the
-        returned window is ordinary anonymous memory whose lifetime the
+        This is the store's read primitive, for the prefetcher's windows
+        and the carrier index's rare rows alike: an explicit copy, so the
+        returned rows are ordinary anonymous memory whose lifetime the
         byte budget controls, independent of the page cache.
         """
+        if stop is None:
+            rows = np.asarray(start, dtype=np.int64)
+            if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or (
+                rows.size and not 0 <= rows[0] <= rows[-1] < self.n_snps
+            ):
+                raise ValueError(
+                    f"row indices must ascend inside panel of {self.n_snps}"
+                )
+            return np.array(self.words[rows], dtype=np.uint64)
         if not 0 <= start <= stop <= self.n_snps:
             raise ValueError(
                 f"row range [{start}, {stop}) outside panel of {self.n_snps}"

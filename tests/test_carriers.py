@@ -6,7 +6,7 @@ common × common through the GEMM. Counts stay exact integers, so every
 statistic must equal the data-oblivious ``scalar``/``numpy`` oracles bit
 for bit — checked here on frequency-extreme panels at the
 ``compute_tile`` level, and end to end on every engine, band mode and
-storage mode of a panel on which ``run_engine``'s own rule engages.
+storage mode of panels on which ``run_engine``'s own rule engages.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import engine as engine_mod
 from repro.core.banding import BandSpec
+from repro.core.blocking import CARRIER_LOOKUP_COST
 from repro.core.carriers import build_carrier_index, rare_threshold
 from repro.core.engine import (
     ENGINES,
@@ -27,7 +28,7 @@ from repro.core.engine import (
     run_engine,
 )
 from repro.core.executors import stop_pools
-from repro.core.prefetch import min_memory_budget
+from repro.core.prefetch import min_memory_budget, plan_windows
 from repro.encoding.bitmatrix import BitMatrix
 from repro.io.panelstore import PanelStore, pack_panel
 from repro.observe import MetricsRecorder, SpanProfiler, profiling
@@ -40,6 +41,16 @@ TILES = {
     "fringe": TileTask(32, 40, 0, 16),
     "fringe-diagonal": TileTask(32, 40, 32, 40),
 }
+
+#: Sample counts of the frequency-extreme grid: word fringes, and
+#: Dataset A's 2,504 (8 bits past a word boundary).
+EXTREME_SAMPLES = [1, 3, 63, 64, 65, 130, 2504]
+
+#: ``(n_samples, threshold)`` cells of the grid: every sample count at
+#: fixed thresholds, and Dataset A's at the rule's own t as well.
+EXTREME_GRID = [
+    (n, t) for n in EXTREME_SAMPLES for t in (0, 1, 2, "N")
+] + [(2504, "rule")]
 
 
 def extreme_panel(n_samples: int, rng: np.random.Generator) -> BitMatrix:
@@ -54,6 +65,16 @@ def extreme_panel(n_samples: int, rng: np.random.Generator) -> BitMatrix:
     for snp, count in enumerate(counts):
         dense[rng.choice(n, count, replace=False), snp] = 1
     return BitMatrix.from_dense(dense)
+
+
+def rule_threshold(n_samples: int) -> int:
+    """The marginal crossover ``⌊N_bits / L⌋`` the rule splits at."""
+    return 64 * -(-n_samples // 64) // CARRIER_LOOKUP_COST
+
+
+def minor_counts(panel: BitMatrix) -> np.ndarray:
+    derived = panel.allele_counts()
+    return np.minimum(derived, panel.n_samples - derived)
 
 
 def index_for(panel: BitMatrix, threshold: int | None = None):
@@ -72,13 +93,21 @@ def sfs_panel() -> BitMatrix:
     return simulate_sfs_panel(6000, 300, rng=np.random.default_rng(7))
 
 
+@pytest.fixture(scope="module")
+def a_panel() -> BitMatrix:
+    """An SFS panel as wide as Dataset A: 2,504 samples."""
+    return simulate_sfs_panel(2504, 260, rng=np.random.default_rng(26))
+
+
 class TestFrequencyExtremes:
-    @pytest.mark.parametrize("threshold", [0, 1, 2, "N"])
-    @pytest.mark.parametrize("n_samples", [1, 3, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n_samples, threshold", EXTREME_GRID)
     def test_tiles_match_the_scalar_oracle(self, n_samples, threshold):
         panel = extreme_panel(n_samples, np.random.default_rng(n_samples))
-        t = n_samples if threshold == "N" else threshold
+        # "rule": the panel's own threshold, rare_threshold's choice.
+        t = {"N": n_samples, "rule": None}.get(threshold, threshold)
         index = index_for(panel, threshold=t)
+        if threshold == "rule":
+            assert index.threshold == rule_threshold(n_samples) == 17
         freqs = panel.allele_frequencies()
         for stat in ("r2", "D", "H"):
             for name, tile in TILES.items():
@@ -90,7 +119,7 @@ class TestFrequencyExtremes:
                 )
                 assert np.array_equal(got, ref, equal_nan=True), (stat, name)
 
-    @pytest.mark.parametrize("n_samples", [1, 3, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n_samples", EXTREME_SAMPLES)
     def test_carrier_lists_are_the_minor_allele_and_skip_padding(self, n_samples):
         panel = extreme_panel(n_samples, np.random.default_rng(n_samples))
         index = index_for(panel, threshold=n_samples)
@@ -119,16 +148,35 @@ class TestFrequencyExtremes:
 
 class TestRule:
     @pytest.mark.parametrize(
-        "n_samples, expected", [(2504, -1), (10000, 16), (100000, 166)]
+        "n_samples, expected", [(2504, 17), (10000, 66), (100000, 666)]
     )
     def test_paper_shapes(self, n_samples, expected):
-        # Dataset A stays on the plain GEMM; B and C split at N // 600.
+        # All three datasets split, at the marginal crossover ⌊N_bits / 150⌋.
         rng = np.random.default_rng(n_samples)
         derived = np.rint(
             neutral_sfs_frequencies(10000, n_samples, rng) * n_samples
         ).astype(np.int64)
         mac = np.minimum(derived, n_samples - derived)
         assert rare_threshold(n_samples, mac) == expected
+        assert expected == rule_threshold(n_samples)
+
+    def test_dataset_a_spectrum_splits(self, a_panel):
+        index = index_for(a_panel)
+        mac = minor_counts(a_panel)
+        assert index.threshold == rule_threshold(2504) == 17
+        np.testing.assert_array_equal(index.snps, np.flatnonzero(mac <= 17))
+        assert 0.3 < index.n_rare / a_panel.n_snps < 0.6
+
+    def test_a_rare_share_under_the_gate_stays_on_the_plain_gemm(self):
+        # N = 6,000: t = 40, and a singleton saves 6,016 − 150 bit
+        # products per cell it moves. 8 singletons of 1,000 SNPs move
+        # 1.6 % of an average tile's cells, under the 100-bit-product
+        # assembly pass per cell; 9 move 1.8 %, over it.
+        mac = np.full(1000, 2000)
+        mac[:8] = 1
+        assert rare_threshold(6000, mac) == -1
+        mac[8] = 1
+        assert rare_threshold(6000, mac) == rule_threshold(6000) == 40
 
     def test_all_common_panel_builds_an_empty_index(self):
         rng = np.random.default_rng(3)
@@ -148,7 +196,7 @@ class TestRule:
             sfs_panel.allele_frequencies(), sfs_panel.n_samples, read_rows,
             chunk_rows=32,
         )
-        assert index.threshold == sfs_panel.n_samples // 600
+        assert index.threshold == rule_threshold(sfs_panel.n_samples)
         assert 0 < index.n_rare < sfs_panel.n_snps
         assert all(0 < chunk.size <= 32 for chunk in calls)
         np.testing.assert_array_equal(np.concatenate(calls), index.snps)
@@ -176,6 +224,12 @@ class TestEngine:
     def store_path(self, sfs_panel, tmp_path_factory):
         path = tmp_path_factory.mktemp("carriers") / "sfs.pnl"
         pack_panel(path, sfs_panel).close()
+        return path
+
+    @pytest.fixture(scope="class")
+    def a_store_path(self, a_panel, tmp_path_factory):
+        path = tmp_path_factory.mktemp("carriers") / "a.pnl"
+        pack_panel(path, a_panel).close()
         return path
 
     @pytest.fixture(scope="class", autouse=True)
@@ -224,6 +278,58 @@ class TestEngine:
             tiles = enumerate_tiles(sfs_panel.n_snps, block, band=spec)
             assert len(shapes) == len(tiles)
             assert sum(m * n for m, n in shapes) < sum(t.n_pairs for t in tiles)
+
+    @pytest.mark.parametrize("storage", ["in-core", "store"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_dataset_a_width_splits_bit_identical_to_numpy(
+        self, a_panel, a_store_path, engine, storage
+    ):
+        kwargs = dict(block_snps=64, engine=engine, n_workers=2)
+        data = a_panel
+        if storage == "store":
+            data = a_store_path
+            kwargs["memory_budget"] = min_memory_budget(64, 8 * a_panel.n_words)
+        ref: dict = {}
+        run_engine(data, _collect(ref), kernel="numpy", **kwargs)
+        got: dict = {}
+        recorder = MetricsRecorder()
+        with profiling(SpanProfiler()):
+            report = run_engine(data, _collect(got), recorder=recorder, **kwargs)
+        assert report.complete
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert np.array_equal(got[key], ref[key], equal_nan=True), key
+        assert "phase.carriers" in recorder.timers
+
+    def test_store_reads_every_rare_row_through_read_rows(
+        self, sfs_panel, store_path, monkeypatch
+    ):
+        reads = []
+        real_read = PanelStore.read_rows
+
+        def read_rows(store, start, stop=None):
+            rows = real_read(store, start, stop)
+            if stop is None:
+                reads.append((np.array(start), rows.nbytes))
+            return rows
+
+        monkeypatch.setattr(PanelStore, "read_rows", read_rows)
+        row_nbytes = 8 * sfs_panel.n_words
+        budget = min_memory_budget(64, row_nbytes)
+        _, window_rows = plan_windows(
+            sfs_panel.n_snps, 64, row_nbytes=row_nbytes, memory_budget=budget
+        )
+        report = run_engine(
+            store_path, lambda i, j, b: None, block_snps=64,
+            memory_budget=budget,
+        )
+        assert report.complete
+        mac = minor_counts(sfs_panel)
+        rare = np.flatnonzero(mac <= rare_threshold(sfs_panel.n_samples, mac))
+        assert 0 < rare.size < sfs_panel.n_snps
+        np.testing.assert_array_equal(np.concatenate([r for r, _ in reads]), rare)
+        assert all(r.size <= window_rows for r, _ in reads)
+        assert sum(nbytes for _, nbytes in reads) == rare.size * row_nbytes
 
     def test_all_common_panel_keeps_full_tile_gemms(self, monkeypatch):
         rng = np.random.default_rng(5)

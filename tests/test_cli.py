@@ -319,6 +319,28 @@ class TestLdEngineOption:
         assert manifest.exists()
         assert not (tmp_path / "ld.npy.manifest").exists()
 
+    def test_budget_below_the_floor_exits_before_any_output(
+        self, ms_panel, tmp_path
+    ):
+        path, _ = ms_panel
+        store = tmp_path / "panel.pnl"
+        assert main(["pack", str(path), "--out", str(store)]) == 0
+        out = tmp_path / "ld.npy"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "ld", "--panel", str(store), "--engine", "serial",
+                "--block-snps", "16", "--memory-budget", "256",
+                "--out", str(out),
+            ])
+        # One line, not a traceback: the floor is 3 windows of 16 rows.
+        assert exc.value.code == (
+            "memory budget 256 bytes cannot hold 3 windows of 16 packed "
+            "SNP rows (384 bytes); raise the budget or lower block_snps"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "panel.ms", "panel.pnl",
+        ]
+
 
 class TestLdFaultToleranceFlags:
     @pytest.mark.parametrize(

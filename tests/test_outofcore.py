@@ -89,6 +89,18 @@ class TestPanelStore:
             np.testing.assert_array_equal(rows, packed.words[10:74])
             assert rows.base is None or rows.base is not store.words
 
+    def test_read_rows_by_ascending_index(self, packed, tmp_path):
+        with pack_panel(tmp_path / "p.pnl", packed) as store:
+            index = np.array([0, 3, 64, packed.n_snps - 1])
+            rows = store.read_rows(index)
+            np.testing.assert_array_equal(rows, packed.words[index])
+            assert store.read_rows(np.array([], dtype=np.int64)).shape == (
+                0, packed.n_words,
+            )
+            for bad in ([3, 0], [1, 1], [-1, 2], [2, packed.n_snps]):
+                with pytest.raises(ValueError, match="ascend"):
+                    store.read_rows(np.array(bad))
+
     def test_digest_is_content_addressed(self, packed, tmp_path):
         with pack_panel(tmp_path / "a.pnl", packed) as a, \
                 pack_panel(tmp_path / "b.pnl", packed) as b:
