@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.stats import r_squared_matrix
+from repro.core.stats import d_matrix, r_squared_matrix
 from repro.encoding.bitmatrix import BitMatrix
 from repro.util.validation import check_binary
 
@@ -70,7 +70,7 @@ def naive_ld_matrix(
             h[i, j] = h[j, i] = float(s_i @ dense[:, j]) * inv_n
     p = np.array([float(dense[:, i] @ dense[:, i]) * inv_n for i in range(n_snps)])
     if stat == "D":
-        return h - np.outer(p, p)
+        return d_matrix(h, p)
     if stat == "r2":
         return r_squared_matrix(h, p, undefined=undefined)
     raise ValueError(f"unknown LD statistic {stat!r}; choose 'r2' or 'D'")
@@ -100,7 +100,7 @@ def naive_ld_matrix_scalar(
             h[i, j] = h[j, i] = acc * inv_n
     p = np.array([sum(cols[i]) * inv_n for i in range(n_snps)])
     if stat == "D":
-        return h - np.outer(p, p)
+        return d_matrix(h, p)
     if stat == "r2":
         return r_squared_matrix(h, p, undefined=undefined)
     raise ValueError(f"unknown LD statistic {stat!r}; choose 'r2' or 'D'")

@@ -62,7 +62,7 @@ from repro.core.blocking import BlockingParams
 from repro.core.carriers import CarrierIndex, build_carrier_index
 from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm
 from repro.core.ldmatrix import as_bitmatrix
-from repro.core.stats import r_squared_matrix
+from repro.core.stats import STATS, stat_block
 from repro.encoding.bitmatrix import BitMatrix
 from repro.faults import FaultPlan, InjectedCrash
 from repro.observe.spans import current_profiler, span
@@ -101,9 +101,6 @@ _FALLBACK = {
     "threads": "serial",
     "serial": None,
 }
-
-_ENGINE_STATS = ("r2", "D", "H")
-
 
 class TileCorruptionError(RuntimeError):
     """A tile payload failed its CRC32 on the worker→driver handoff."""
@@ -183,13 +180,16 @@ def compute_tile(
     kernel: str = DEFAULT_KERNEL,
     undefined: float = np.nan,
     carriers: CarrierIndex | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Compute one statistic block from the packed words (pure function).
+    """Compute one statistic block from the packed words.
 
     This is the whole per-tile work unit — the tile's shared-allele
-    counts plus the elementwise statistic. Its one caller is the tile
-    runner, :func:`repro.core.executors.run_tile`, which the serial
-    loop, thread workers and pool workers all share.
+    counts plus the elementwise statistic, which
+    :func:`repro.core.stats.stat_block` writes into *out* (a pool
+    worker's arena slot) or a fresh array, and returns. Its one caller
+    is the tile runner, :func:`repro.core.executors.run_tile`, which the
+    serial loop, thread workers and pool workers all share.
 
     The counts come from one rectangular popcount GEMM, except that the
     ``fused`` kernel, given a *carriers* index
@@ -201,8 +201,6 @@ def compute_tile(
     and ``scalar`` kernels ignore *carriers*: they are the
     data-oblivious oracles.
     """
-    if stat not in _ENGINE_STATS:
-        raise ValueError(f"unknown LD statistic {stat!r}; choose r2/D/H")
     rows, cols = words[tile.i0 : tile.i1], words[tile.j0 : tile.j1]
 
     def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,16 +210,16 @@ def compute_tile(
         counts = carriers.tile_counts(tile, rows, cols, gemm)
     else:
         counts = gemm(rows, cols)
-    # Divide (rather than multiply by a reciprocal) so tiles are
-    # bit-identical to the in-memory pipeline's H = counts / N.
     with span("stat"):
-        h = counts / float(n_samples)
-        p, q = freqs[tile.i0 : tile.i1], freqs[tile.j0 : tile.j1]
-        if stat == "H":
-            return h
-        if stat == "D":
-            return h - np.outer(p, q)
-        return r_squared_matrix(h, p, q, undefined=undefined)
+        return stat_block(
+            counts,
+            freqs[tile.i0 : tile.i1],
+            freqs[tile.j0 : tile.j1],
+            stat=stat,
+            n_samples=n_samples,
+            undefined=undefined,
+            out=out,
+        )
 
 
 def _crc32_array(block: np.ndarray) -> int:
@@ -710,7 +708,7 @@ def run_engine(
     engine = ENGINE_ALIASES.get(engine, engine)
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if stat not in _ENGINE_STATS:
+    if stat not in STATS:
         raise ValueError(f"unknown LD statistic {stat!r}; choose r2/D/H")
     if max_retries < 0:
         raise ValueError(f"max_retries must be non-negative, got {max_retries}")

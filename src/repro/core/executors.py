@@ -168,8 +168,9 @@ def run_tile(
     deterministic clock fault injection keys on, so a seeded schedule
     fires identically whichever worker draws the tile. *can_kill* lets
     a ``kill`` fault SIGKILL the calling process. With *out* (a pool
-    worker's arena slot) the block is copied there, and the CRC32 and
-    any injected corruption apply to the bytes the driver will read.
+    worker's arena slot) the statistic is written straight there, and
+    the CRC32 and any injected corruption apply to the bytes the driver
+    will read.
     The worker identity is the calling thread's name.
     """
     faults = config.faults
@@ -189,11 +190,8 @@ def run_tile(
             kernel=config.kernel,
             undefined=config.undefined,
             carriers=config.carriers,
+            out=out,
         )
-        if out is not None:
-            with prof.span("arena_copy_out"):
-                out[...] = block
-            block = out
     elapsed = time.perf_counter() - start
     phases = prof.collect(mark) or None
     if faults is not None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.blocking import BlockingParams
 from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm, popcount_gram
-from repro.core.stats import d_matrix, d_prime_matrix, r_squared_matrix
+from repro.core.stats import d_prime_matrix, stat_block
 from repro.encoding.bitmatrix import BitMatrix
 
 __all__ = ["LDResult", "as_bitmatrix", "ld_cross", "ld_matrix", "ld_pairs"]
@@ -68,17 +68,25 @@ class LDResult:
     def h(self) -> np.ndarray:
         """Haplotype-frequency matrix ``H`` (Equation 4, all pairs)."""
         if self._h is None:
-            self._h = self.counts / float(self.n_samples)
+            self._h = self._from_counts("H")
         return self._h
 
     @property
     def d(self) -> np.ndarray:
         """LD coefficient matrix ``D = H − p qᵀ`` (Equation 5)."""
-        return d_matrix(self.h, self.p, self.q)
+        return self._from_counts("D")
 
     def r2(self, *, undefined: float = np.nan) -> np.ndarray:
         """r² matrix (Equation 2); *undefined* fills monomorphic pairs."""
-        return r_squared_matrix(self.h, self.p, self.q, undefined=undefined)
+        return self._from_counts("r2", undefined)
+
+    def _from_counts(self, stat: str, undefined: float = np.nan) -> np.ndarray:
+        # Straight from the counts, strip by strip: D and r² never hold
+        # a whole H beside their output.
+        return stat_block(
+            self.counts, self.p, self.q, stat=stat,
+            n_samples=self.n_samples, undefined=undefined,
+        )
 
     def d_prime(self, *, undefined: float = np.nan) -> np.ndarray:
         """Lewontin's D' matrix; *undefined* fills monomorphic pairs."""

@@ -69,6 +69,9 @@ _MIN_RESIDENT = 3
 #: enough to make progress (the next load stages as soon as either is
 #: released; an occasional reload of a hot window is counted, not fatal).
 _MIN_RESIDENT_BANDED = 2
+#: Failed reads of one window in a row after which the loader stops
+#: reading it, until a consumer's inline read of it succeeds.
+_LOADER_READ_FAILURES = 2
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,12 @@ class PanelPrefetcher:
     the loader skips it, and a consumer that needs it reads it inline —
     raising the read's error from ``acquire`` if that read fails too.
     Each failure bumps the window's failed-read count, the attempt
-    number of the ``prefetch`` fault site.
+    number of the ``prefetch`` fault site. After two failed reads in a
+    row the loader leaves the window to the consumers' inline reads
+    until one of them succeeds: one transient failure still gets a
+    loader retry, a window that recovers is read ahead again, and a
+    window that never reads is not re-read ahead of every tile that
+    touches it.
     """
 
     def __init__(
@@ -255,6 +263,7 @@ class PanelPrefetcher:
             for w in self._tile_windows(tile):
                 self._uses[w] += 1
         self._failed_reads = [0] * len(self.windows)
+        self._failed_in_a_row = [0] * len(self.windows)
         self._touched: set[int] = set()
         self._wanted: dict[int, int] = {}
         #: Blocked acquirers by panel-major order index -> needed windows.
@@ -455,6 +464,8 @@ class PanelPrefetcher:
             with self._cond:
                 if self._closed:
                     return
+                if prefetch and self._failed_in_a_row[w] >= _LOADER_READ_FAILURES:
+                    return
                 if w in self._buffers:
                     self._clock += 1
                     self._lru[w] = self._clock
@@ -486,6 +497,7 @@ class PanelPrefetcher:
             with self._cond:
                 self._loading.discard(w)
                 self._failed_reads[w] += 1
+                self._failed_in_a_row[w] += 1
                 if not self._closed:
                     self._resident_bytes -= nbytes
                 self._cond.notify_all()
@@ -494,6 +506,7 @@ class PanelPrefetcher:
             return
         with self._cond:
             self._loading.discard(w)
+            self._failed_in_a_row[w] = 0
             if self._closed:
                 return
             self._buffers[w] = data

@@ -10,6 +10,10 @@ Given allele frequencies ``p`` and the haplotype-frequency matrix ``H``:
 O(n³) GEMM. Monomorphic SNPs make the r²/D' denominators zero; the functions
 return NaN there by default (the statistic is undefined), with an option to
 substitute 0.0 as PLINK-style tools do when pruning.
+
+H, D and r² (Equations 1–2) have one implementation, :func:`stat_block`,
+which the engine's tiles, :func:`d_matrix`, :func:`r_squared_matrix` and
+through them ``ld_matrix`` and the naive baselines all run.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "STATS",
     "d_matrix",
     "d_prime_matrix",
     "ld_chi2_matrix",
@@ -24,7 +29,86 @@ __all__ = [
     "r_squared",
     "r_squared_adjusted",
     "r_squared_matrix",
+    "stat_block",
 ]
+
+#: The statistics :func:`stat_block` computes.
+STATS = ("r2", "D", "H")
+
+#: Output bytes per row strip of :func:`stat_block`; its scratch is
+#: three strips of this size. Swept on 30 sampled split Dataset A 512²
+#: tiles, r² from counts into a fresh destination, best of 5 interleaved
+#: passes, three sweeps (2-vCPU Xeon guest with 48 KiB L1d and 2 MiB L2 a
+#: core, numpy 2.4): 16 KiB 2.43–2.59 ms, 32 KiB 1.91–1.99, 64 KiB
+#: 1.65–1.72, 128 KiB 1.54–1.59, 256 KiB 1.51–1.54, 512 KiB 1.58–1.63,
+#: the whole tile at once 2.03–2.15, and the whole-array expressions
+#: 4.65–5.41 ms (their seven tile-sized temporaries included).
+STRIP_BYTES = 256 * 1024
+
+
+def stat_block(
+    values: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+    *,
+    stat: str = "r2",
+    n_samples: int | None = None,
+    undefined: float = np.nan,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """H, D or r² of one ``(m, n)`` block, written into *out* strip by strip.
+
+    *values* are shared-allele counts when *n_samples* is given (``H =
+    counts / n_samples``) and H itself otherwise; *p* and *q* are the
+    rows' and columns' allele frequencies, in [0, 1]. *out* is a fresh
+    float64 array when omitted, and may be *values* when those are a
+    float64 H. The block is processed one :data:`STRIP_BYTES` row strip
+    at a time, running the whole-array expressions' elementwise
+    operations in their order — ``counts / N``, ``− p qᵀ``, square,
+    ``/ (p(1−p)·q(1−q))``, ``min(·, 1)``, then *undefined* wherever that
+    denominator is not positive — so every output bit matches them.
+    """
+    if stat not in STATS:
+        raise ValueError(f"unknown LD statistic {stat!r}; choose r2/D/H")
+    m, n = values.shape
+    if out is None:
+        out = np.empty((m, n), dtype=np.float64)
+    if stat == "H":
+        if n_samples is None:
+            np.copyto(out, values)
+        else:
+            np.divide(values, float(n_samples), out=out)
+        return out
+    rows = max(1, min(m, STRIP_BYTES // (8 * max(n, 1))))
+    # Outer products are taken as same-shape products of a strip with
+    # the row factor spread along each row and one with the column
+    # vector down each column: numpy multiplies by a broadcast column
+    # ~2x slower at 512 columns. Same operands, same bits.
+    spread = np.empty((rows, n))
+    q_down = np.empty((rows, n))
+    q_down[...] = q
+    if stat == "r2":
+        var_p, var_q = p * (1.0 - p), q * (1.0 - q)
+        var_q_down = np.empty((rows, n))
+        var_q_down[...] = var_q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r0 in range(0, m, rows):
+            r1 = min(r0 + rows, m)
+            src, dst, tmp = values[r0:r1], out[r0:r1], spread[: r1 - r0]
+            if n_samples is not None:
+                src = np.divide(src, float(n_samples), out=dst)
+            np.copyto(tmp, p[r0:r1, None])
+            np.subtract(src, np.multiply(tmp, q_down[: r1 - r0], out=tmp), out=dst)
+            if stat == "D":
+                continue
+            np.multiply(dst, dst, out=dst)
+            np.copyto(tmp, var_p[r0:r1, None])
+            np.divide(
+                dst, np.multiply(tmp, var_q_down[: r1 - r0], out=tmp), out=dst
+            )
+            np.minimum(dst, 1.0, out=dst)
+            np.copyto(dst, undefined, where=~(tmp > 0.0))
+    return out
 
 
 def _check_freqs(h: np.ndarray, p: np.ndarray, q: np.ndarray | None) -> tuple[
@@ -69,7 +153,7 @@ def d_matrix(
     frequencies for cross-LD.
     """
     h, p, q = _check_freqs(h, p, q)
-    return h - np.outer(p, q)
+    return stat_block(h, p, q, stat="D")
 
 
 def r_squared_matrix(
@@ -96,12 +180,7 @@ def r_squared_matrix(
     above all) would otherwise round to 1 plus a few ulps.
     """
     h, p, q = _check_freqs(h, p, q)
-    d = h - np.outer(p, q)
-    denom = np.outer(p * (1.0 - p), q * (1.0 - q))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (d * d) / denom
-    np.minimum(ratio, 1.0, out=ratio)
-    return np.where(denom > 0.0, ratio, undefined)
+    return stat_block(h, p, q, undefined=undefined)
 
 
 def r_squared_adjusted(

@@ -245,24 +245,6 @@ def diff_runs(
     }
 
 
-def matching_baseline(
-    records: list[dict], candidate: dict
-) -> dict | None:
-    """Most recent earlier record sharing *candidate*'s shape fingerprint."""
-    fingerprint = candidate.get("fingerprint")
-    if fingerprint is None:
-        return None
-    for record in reversed(records):
-        if record is candidate:
-            continue
-        if (
-            record.get("fingerprint") == fingerprint
-            and record.get("run_id") != candidate.get("run_id")
-        ):
-            return record
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Rendering (the report.py renderer family dispatches here).
 # ---------------------------------------------------------------------------

@@ -107,6 +107,30 @@ class TestConformance:
         np.testing.assert_array_equal(got[tri], oracle[tri])
 
     @pytest.mark.parametrize("engine", ENGINES)
+    def test_d_matches_the_four_gamete_identity(self, engine):
+        """D from the engine equals ``p_AB·p_ab − p_Ab·p_aB`` over the
+        four gamete frequencies (SNIPPETS.md, snippet 2), a closed form
+        independent of the kernel's ``H − p pᵀ``."""
+        rng = np.random.default_rng(0x4CA7)
+        panel = rng.integers(0, 2, size=(65, 24)).astype(np.uint8)
+        panel[:, 0] = 0
+        got, report = _assemble(
+            panel, engine=engine, stat="D", block_snps=13, n_workers=2
+        )
+        assert report.complete
+        derived = panel.astype(np.float64)
+        ancestral = 1.0 - derived
+        n = panel.shape[0]
+        p_AB = derived.T @ derived / n
+        p_Ab = derived.T @ ancestral / n
+        p_aB = ancestral.T @ derived / n
+        p_ab = ancestral.T @ ancestral / n
+        tri = np.tril_indices(panel.shape[1])
+        np.testing.assert_allclose(
+            got[tri], (p_AB * p_ab - p_Ab * p_aB)[tri], rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_crash_resume_to_identical_manifest_and_matrix(
         self, engine, panel, tmp_path
     ):
@@ -399,6 +423,23 @@ class TestShmLeaks:
 
 class TestWarmPoolSlots:
     """A failing run hands every arena slot back to the warm pool."""
+
+    def test_statistic_is_written_straight_into_the_slot(self, panel):
+        """A pool worker's stat pass writes the tile's arena slot itself:
+        no ``arena_copy_out`` phase follows it, and the matrix is the
+        serial run's."""
+        oracle, _ = _assemble(panel, engine="serial", block_snps=9)
+        recorder = MetricsRecorder()
+        with profiling(SpanProfiler()):
+            got, report = _assemble(
+                panel, engine="persistent", block_snps=9, n_workers=2,
+                recorder=recorder,
+            )
+        assert report.complete and not report.degraded
+        assert "phase.stat" in recorder.timers
+        assert "phase.arena_copy_out" not in recorder.timers
+        tri = np.tril_indices(panel.shape[1])
+        np.testing.assert_array_equal(got[tri], oracle[tri])
 
     @pytest.mark.parametrize("failure", ["sink_raises", "retries_exhausted"])
     @pytest.mark.usefixtures("instant_retries")

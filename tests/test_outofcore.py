@@ -468,6 +468,79 @@ class TestReadFailures:
             with pytest.raises(OSError, match="unreadable panel rows"):
                 run_engine(str(store_path), sink, **common)
 
+    @pytest.mark.parametrize("engine", ["serial", "threads"])
+    def test_loader_reads_a_failing_window_at_most_twice(
+        self, engine, store_path, clean_matrix, tmp_path, monkeypatch
+    ):
+        failures = _break_reads(monkeypatch, times=None)
+        failing_read = PanelStore.read_rows
+        loader_failures: list[int] = []
+
+        def read_rows(store, start, stop):
+            try:
+                return failing_read(store, start, stop)
+            except OSError:
+                if threading.current_thread().name == "repro-prefetch":
+                    loader_failures.append(start)
+                raise
+
+        monkeypatch.setattr(PanelStore, "read_rows", read_rows)
+        n = clean_matrix.shape[0]
+        touching = {
+            t.key for t in enumerate_tiles(n, BLOCK)
+            if _BAD_WINDOW[0] in (t.i0, t.j0)
+        }
+        with NpyMemmapSink(tmp_path / "holes.npy", n) as sink:
+            report = run_engine(
+                str(store_path), sink, engine=engine, block_snps=BLOCK,
+                n_workers=3, memory_budget=_quarter_budget(store_path),
+                allow_quarantine=True,
+            )
+        assert set(report.quarantined) == touching
+        # Every attempt of every touching tile reads the window inline
+        # and fails; the loader gives up after the window's second
+        # failed read instead of re-reading it ahead of each tile.
+        assert len(failures) - len(loader_failures) == 3 * len(touching)
+        assert len(loader_failures) <= 2
+
+    def test_loader_reads_a_recovered_window_ahead_again(
+        self, store_path, monkeypatch
+    ):
+        """Two failed reads in a row pause the loader's reads of a
+        window only until a consumer's read of it succeeds."""
+        failures = _break_reads(monkeypatch, times=2)
+        flaky_read = PanelStore.read_rows
+        loader_reads: list[int] = []
+
+        def read_rows(store, start, stop):
+            rows = flaky_read(store, start, stop)
+            if (start, stop) == _BAD_WINDOW and (
+                threading.current_thread().name == "repro-prefetch"
+            ):
+                loader_reads.append(start)
+            return rows
+
+        monkeypatch.setattr(PanelStore, "read_rows", read_rows)
+        budget = _quarter_budget(store_path)
+        with PanelStore.open(store_path) as store:
+            tiles = enumerate_tiles(store.n_snps, BLOCK)
+            with PanelPrefetcher(
+                store, tiles, block_snps=BLOCK, memory_budget=budget
+            ) as pf:
+                for tile in pf.order:
+                    while True:
+                        try:
+                            pf.acquire(tile)
+                            break
+                        except OSError:
+                            pass  # the engine would retry the tile
+                    time.sleep(0.0005)  # compute, pinned
+                    pf.release(tile)
+        assert len(failures) == 2
+        # The budget evicts the window between the tiles that need it;
+        # once it has read, the loader stages it ahead of them again.
+        assert loader_reads
+
 
 class TestCrashResume:
     def test_mid_panel_crash_resumes_bit_identically(

@@ -12,7 +12,6 @@ from repro.observe.registry import (
     diff_runs,
     find_run,
     load_runs,
-    matching_baseline,
     render_diff,
     render_run,
     render_runs_list,
@@ -187,20 +186,6 @@ class TestDiff:
         )
         text = render_diff(diff_runs(base, cand))
         assert "new anomalies: io_bound" in text
-
-    def test_matching_baseline_prefers_most_recent(self):
-        a = make_record("r-a")
-        b = make_record("r-b")
-        other = make_record(
-            "r-x",
-            fingerprint=shape_fingerprint(
-                stat="D", n_snps=300, n_samples=64, block_snps=64,
-            ),
-        )
-        cand = make_record("r-c")
-        records = [a, b, other, cand]
-        assert matching_baseline(records, cand)["run_id"] == "r-b"
-        assert matching_baseline([other, cand], cand) is None
 
 
 class TestRenderers:

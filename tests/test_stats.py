@@ -1,11 +1,15 @@
 """Tests for the LD statistics (repro.core.stats)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.stats import (
+    STATS,
+    STRIP_BYTES,
     d_matrix,
     d_prime_matrix,
     ld_chi2_matrix,
@@ -13,6 +17,7 @@ from repro.core.stats import (
     r_squared,
     r_squared_adjusted,
     r_squared_matrix,
+    stat_block,
 )
 from tests.conftest import assert_allclose_nan, reference_ld
 
@@ -103,6 +108,22 @@ class TestRSquaredMatrix:
         r2 = r_squared_matrix(h, p, undefined=0.0)
         np.testing.assert_array_equal(r2, 0.0)
 
+    def test_peak_memory_is_about_its_output(self):
+        """r² of a 2,000² H allocates its output and strips of scratch,
+        no whole-matrix temporaries."""
+        rng = np.random.default_rng(7)
+        n = 2000
+        h = rng.integers(0, 101, (n, n)) / 100.0
+        p = rng.integers(0, 101, n) / 100.0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            r2 = r_squared_matrix(h, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * r2.nbytes, (peak, r2.nbytes)
+
     def test_matches_pearson_correlation(self, rng):
         """r2 equals squared Pearson correlation of the allele indicators."""
         dense = rng.integers(0, 2, size=(400, 5)).astype(float)
@@ -110,6 +131,96 @@ class TestRSquaredMatrix:
         r2 = r_squared_matrix(h, p)
         corr = np.corrcoef(dense.T) ** 2
         np.testing.assert_allclose(r2, corr, atol=1e-12)
+
+
+def whole_array_stat(values, p, q, stat, n_samples, undefined):
+    """The specification :func:`stat_block` must match bit for bit: the
+    whole-array expressions it replaced, verbatim."""
+    h = values / float(n_samples) if n_samples is not None else values
+    if stat == "H":
+        return h
+    if stat == "D":
+        return h - np.outer(p, q)
+    d = h - np.outer(p, q)
+    denom = np.outer(p * (1.0 - p), q * (1.0 - q))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (d * d) / denom
+    np.minimum(ratio, 1.0, out=ratio)
+    return np.where(denom > 0.0, ratio, undefined)
+
+
+@st.composite
+def stat_blocks(draw):
+    """A block, its frequencies and a destination for :func:`stat_block`.
+
+    Row counts sit on and around strip boundaries (1 row, one strip
+    less or more a row, two strips and a bit); frequencies hold exact 0
+    and 1, and sometimes a pair whose variance product underflows.
+    """
+    n = draw(st.sampled_from([1, 2, 7, 64, 513, 1500, 4096]))
+    strip_rows = max(1, STRIP_BYTES // (8 * n))
+    m = draw(st.sampled_from(
+        sorted({1, max(1, strip_rows - 1), strip_rows, strip_rows + 1,
+                2 * strip_rows + 3})
+    ))
+    n_samples = draw(st.integers(min_value=1, max_value=3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.integers(0, n_samples + 1, m) / n_samples
+    q = rng.integers(0, n_samples + 1, n) / n_samples
+    for vec in (p, q):
+        if draw(st.booleans()):
+            vec[rng.integers(vec.size)] = 0.0
+        if draw(st.booleans()):
+            vec[rng.integers(vec.size)] = 1.0
+    if draw(st.booleans()):
+        p[rng.integers(m)], q[rng.integers(n)] = 5e-324, 1e-170
+    counts = draw(st.booleans())
+    if counts:
+        values = rng.integers(0, n_samples + 1, (m, n))
+    else:
+        values, n_samples = rng.random((m, n)), None
+    destination = draw(st.sampled_from(
+        ["fresh", "strided"] + ([] if counts else ["values"])
+    ))
+    return values, p, q, n_samples, destination
+
+
+class TestStatBlock:
+    @given(
+        case=stat_blocks(),
+        stat=st.sampled_from(STATS),
+        undefined=st.sampled_from([np.nan, 0.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_whole_array_expressions_bit_for_bit(
+        self, case, stat, undefined
+    ):
+        values, p, q, n_samples, destination = case
+        m, n = values.shape
+        expected = whole_array_stat(values, p, q, stat, n_samples, undefined)
+        canvas = np.full((2 * m, n + 3), 7.0)
+        out = {
+            "fresh": None,
+            "strided": canvas[::2, 2 : n + 2],
+            "values": values,
+        }[destination]
+        got = stat_block(
+            values, p, q, stat=stat, n_samples=n_samples,
+            undefined=undefined, out=out,
+        )
+        if out is not None:
+            assert got is out
+        assert got.dtype == np.float64 and got.shape == (m, n)
+        np.testing.assert_array_equal(
+            got.view(np.uint64), expected.view(np.uint64)
+        )
+        # A strided destination is written and nothing around it.
+        canvas[::2, 2 : n + 2] = 7.0
+        assert np.all(canvas == 7.0)
+
+    def test_rejects_unknown_statistic(self):
+        with pytest.raises(ValueError, match="unknown LD statistic"):
+            stat_block(np.zeros((2, 2)), np.zeros(2), np.zeros(2), stat="Dprime")
 
 
 class TestRSquaredAdjusted:
